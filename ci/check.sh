@@ -18,6 +18,11 @@ cargo test -q
 echo "==> workspace tests"
 cargo test --workspace -q
 
+# e2ebench is its own workspace, so `cargo test --workspace` never builds
+# it; test it here so a library API change cannot break the benchmark.
+echo "==> benchmark package tests (e2ebench)"
+CARGO_TARGET_DIR=.bench_build cargo test --release --manifest-path e2ebench/Cargo.toml -q
+
 echo "==> server integration smoke test (threaded)"
 MODE=threaded ci/server_smoke.sh
 

@@ -14,10 +14,94 @@
 //! coldest replaceable entry; if neither exists the promotion is dropped.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasher, Hasher, RandomState};
 
 use crate::error::ConfigError;
 use crate::profile::Candidate;
 use crate::tuple::Tuple;
+
+/// The accumulator's map hasher: one random 64-bit key per table, and the
+/// tuple's two words mixed by a single folded 64×64→128 multiply.
+///
+/// Hardware searches the table with one tag match, and the batched hot
+/// path looks the map up once per event, so the std default (SipHash-1-3,
+/// built to resist chosen keys) would be one of its largest costs. A fast
+/// keyed hash is safe here because no result depends on the map's
+/// iteration order (eviction takes the least `(count, tuple)`; candidates,
+/// top-k and snapshots are sorted) and the table never holds more than
+/// `capacity` entries, so even colliding tuples only lengthen probes
+/// within a bounded table.
+#[derive(Clone)]
+struct TupleKeyState {
+    key: u64,
+}
+
+impl TupleKeyState {
+    fn new() -> Self {
+        TupleKeyState {
+            key: RandomState::new().build_hasher().finish(),
+        }
+    }
+}
+
+impl BuildHasher for TupleKeyState {
+    type Hasher = TupleKeyHasher;
+
+    #[inline]
+    fn build_hasher(&self) -> TupleKeyHasher {
+        TupleKeyHasher {
+            key: self.key,
+            hash: self.key,
+            pending: None,
+        }
+    }
+}
+
+/// Pairs up the words it is fed and folds each pair into the running hash
+/// with one multiply. A `Tuple` writes exactly two words (`pc`, `value`), so
+/// after inlining its hash is `fold(pc ^ key, value ^ key')`.
+struct TupleKeyHasher {
+    key: u64,
+    hash: u64,
+    pending: Option<u64>,
+}
+
+/// An odd constant with well-spread bits (the fractional digits of π) that
+/// decorrelates the second word's key from the first's.
+const SECOND_WORD_SALT: u64 = 0x243F_6A88_85A3_08D3;
+
+/// The high and low halves of the 128-bit product, XOR-ed together.
+#[inline]
+fn folded_multiply(a: u64, b: u64) -> u64 {
+    let product = u128::from(a) * u128::from(b);
+    (product as u64) ^ ((product >> 64) as u64)
+}
+
+impl Hasher for TupleKeyHasher {
+    #[inline]
+    fn write_u64(&mut self, word: u64) {
+        match self.pending.take() {
+            None => self.pending = Some(word),
+            Some(first) => {
+                self.hash = folded_multiply(first ^ self.hash, word ^ self.key ^ SECOND_WORD_SALT);
+            }
+        }
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for b in bytes {
+            self.write_u64(u64::from(*b));
+        }
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        match self.pending {
+            None => self.hash,
+            Some(odd) => folded_multiply(odd ^ self.hash, self.key ^ SECOND_WORD_SALT),
+        }
+    }
+}
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct EntryState {
@@ -76,7 +160,7 @@ pub struct AccumulatorEntry {
 #[derive(Debug, Clone)]
 pub struct AccumulatorTable {
     capacity: usize,
-    entries: HashMap<Tuple, EntryState>,
+    entries: HashMap<Tuple, EntryState, TupleKeyState>,
 }
 
 impl AccumulatorTable {
@@ -91,7 +175,7 @@ impl AccumulatorTable {
         }
         Ok(AccumulatorTable {
             capacity,
-            entries: HashMap::with_capacity(capacity),
+            entries: HashMap::with_capacity_and_hasher(capacity, TupleKeyState::new()),
         })
     }
 
@@ -292,6 +376,28 @@ mod tests {
 
     fn t(n: u64) -> Tuple {
         Tuple::new(n, n)
+    }
+
+    #[test]
+    fn each_table_draws_its_own_hash_key() {
+        let (a, b) = (TupleKeyState::new(), TupleKeyState::new());
+        assert_ne!(a.key, b.key);
+        let hot = Tuple::new(0x40_0100, 7);
+        assert_eq!(a.hash_one(hot), a.hash_one(hot));
+        assert_ne!(a.hash_one(hot), b.hash_one(hot));
+    }
+
+    #[test]
+    fn tuple_hash_separates_nearby_tuples() {
+        // Dense PCs × small values, the shape of real value profiles.
+        let state = TupleKeyState::new();
+        let mut hashes: Vec<u64> = (0..64u64)
+            .flat_map(|pc| (0..64u64).map(move |v| Tuple::new(0x40_0000 + 4 * pc, v)))
+            .map(|t| state.hash_one(t))
+            .collect();
+        hashes.sort_unstable();
+        hashes.dedup();
+        assert_eq!(hashes.len(), 64 * 64);
     }
 
     #[test]

@@ -136,9 +136,12 @@ impl fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
-/// CRC-32 (IEEE, reflected) lookup table, built at compile time.
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// Builds the slicing-by-8 tables of CRC-32 (IEEE, reflected, polynomial
+/// `0xEDB8_8320`). `tables[0]` is the classic byte-at-a-time table;
+/// `tables[k][b]` is the CRC register after byte `b` followed by `k` zero
+/// bytes, so eight loads advance the register by eight input bytes.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -151,19 +154,47 @@ const CRC32_TABLE: [u32; 256] = {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
-};
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
+}
 
-/// CRC-32 (IEEE, reflected) of `bytes` — the same polynomial the trace
-/// format uses, duplicated here because `mhp-core` sits below the pipeline
-/// crate in the dependency order.
+static CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
+
+/// CRC-32 (IEEE, reflected: the zlib/PNG/Ethernet checksum) of `bytes`.
+///
+/// This is the workspace's only CRC-32: snapshot envelopes here and the
+/// trace format's chunk headers in `mhp-pipeline` both use it. The body
+/// runs slicing-by-8, eight bytes per step; the tail of fewer than eight
+/// bytes goes through `tables[0]` one byte at a time.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC32_TABLE[((crc ^ u32::from(b)) & 0xFF) as usize];
+    let t = &CRC32_TABLES;
+    let mut crc = u32::MAX;
+    let mut words = bytes.chunks_exact(8);
+    for word in &mut words {
+        let v = u64::from_le_bytes(word.try_into().expect("8-byte chunk")) ^ u64::from(crc);
+        crc = t[7][(v & 0xFF) as usize]
+            ^ t[6][((v >> 8) & 0xFF) as usize]
+            ^ t[5][((v >> 16) & 0xFF) as usize]
+            ^ t[4][((v >> 24) & 0xFF) as usize]
+            ^ t[3][((v >> 32) & 0xFF) as usize]
+            ^ t[2][((v >> 40) & 0xFF) as usize]
+            ^ t[1][((v >> 48) & 0xFF) as usize]
+            ^ t[0][(v >> 56) as usize];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xFF) as usize];
     }
     !crc
 }
@@ -611,6 +642,8 @@ mod tests {
     fn crc_matches_known_vector() {
         // Standard check value for CRC-32/IEEE.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        // The trace format's all-zero end marker relies on this.
+        assert_eq!(crc32(b""), 0);
     }
 
     #[test]

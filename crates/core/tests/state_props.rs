@@ -101,6 +101,83 @@ proptest! {
     }
 }
 
+/// CRC-32 computed one bit at a time straight from the reflected IEEE
+/// polynomial: the oracle for the table-driven [`crc32`].
+fn crc32_bitwise(bytes: &[u8]) -> u32 {
+    let mut crc = u32::MAX;
+    for &b in bytes {
+        crc ^= u32::from(b);
+        for _ in 0..8 {
+            crc = if crc & 1 != 0 {
+                (crc >> 1) ^ 0xEDB8_8320
+            } else {
+                crc >> 1
+            };
+        }
+    }
+    !crc
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+    /// Lengths 0..=300 cover the 8-byte body and every tail length; the
+    /// `start` filler bytes in front put the input at every alignment.
+    #[test]
+    fn crc32_matches_bitwise_oracle(
+        data in prop::collection::vec(any::<u8>(), 0..301),
+        start in 0usize..8,
+    ) {
+        let mut buf = vec![0xA5u8; start];
+        buf.extend_from_slice(&data);
+        prop_assert_eq!(crc32(&buf[start..]), crc32_bitwise(&data));
+    }
+}
+
+/// A multi-hash checkpoint (16-entry tables × 2, 83 events of a 3-PC ×
+/// 5-value cycle) as an earlier build wrote it. Its CRC must still
+/// validate, and today's build must write the same bytes for the same run:
+/// neither the checksum nor the accumulator's map order may leak into a
+/// checkpoint.
+const PINNED_MULTI_HASH_CHECKPOINT: &str = "\
+    4d4850534e41500a0100021000000000000000020000000000000001000101cefaedfe00\
+    00000032000000000000009a9999999999b93f0021000000000000000100000000000000\
+    090000000000000000000000000000000000000000000000000000000000000000000000\
+    000000001000000000000000030000000200000002000000030000000000000003000000\
+    020000000200000003000000030000000000000002000000030000000000000002000000\
+    030000000400000000000000000040000000000003000000000000000200000000000000\
+    010000400000000000040000000000000002000000000000000108004000000000000100\
+    000000000000020000000000000001100040000000000000000000000000000300000000\
+    00000001a3ff6801";
+
+fn pinned_run() -> MultiHashProfiler {
+    let interval = IntervalConfig::new(50, 0.1).unwrap();
+    let mut p =
+        MultiHashProfiler::new(interval, MultiHashConfig::new(16, 2).unwrap(), SEED).unwrap();
+    for i in 0..83u64 {
+        p.observe(Tuple::new(0x40_0000 + 8 * (i % 3), i % 5));
+    }
+    p
+}
+
+#[test]
+fn pinned_checkpoint_validates_and_is_rewritten_identically() {
+    let pinned: Vec<u8> = (0..PINNED_MULTI_HASH_CHECKPOINT.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&PINNED_MULTI_HASH_CHECKPOINT[i..i + 2], 16).unwrap())
+        .collect();
+    assert_eq!(pinned.len(), 296);
+
+    let live = pinned_run();
+    assert_eq!(live.save_state().unwrap(), pinned);
+
+    let interval = IntervalConfig::new(50, 0.1).unwrap();
+    let mut restored =
+        MultiHashProfiler::new(interval, MultiHashConfig::new(16, 2).unwrap(), SEED).unwrap();
+    restored.restore_state(&pinned).unwrap();
+    assert_eq!(restored.save_state().unwrap(), pinned);
+    assert_eq!(restored.hot_tuples(8), live.hot_tuples(8));
+}
+
 /// Builds a mid-stream snapshot with non-trivial counter and accumulator
 /// state for the corruption tests.
 fn busy_snapshot(spec: u8) -> (Box<dyn EventProfiler>, Vec<u8>) {

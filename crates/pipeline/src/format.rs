@@ -116,38 +116,9 @@ impl std::fmt::Display for TraceKind {
     }
 }
 
-// --- CRC32 (IEEE 802.3, reflected, polynomial 0xEDB88320) ----------------
-
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 != 0 {
-                (crc >> 1) ^ 0xEDB8_8320
-            } else {
-                crc >> 1
-            };
-            bit += 1;
-        }
-        table[i] = crc;
-        i += 1;
-    }
-    table
-}
-
-static CRC_TABLE: [u32; 256] = crc32_table();
-
-/// CRC32 checksum (IEEE, as used by zlib/PNG/Ethernet) of `bytes`.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = u32::MAX;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize];
-    }
-    !crc
-}
+/// CRC-32 (IEEE, reflected) of a chunk payload: the one implementation in
+/// `mhp-core`, shared with profiler snapshot envelopes.
+pub use mhp_core::state::crc32;
 
 // --- varint / zigzag -----------------------------------------------------
 
@@ -949,13 +920,6 @@ mod tests {
             .unwrap()
             .read_all()
             .unwrap()
-    }
-
-    #[test]
-    fn crc32_matches_known_vectors() {
-        // Standard check value for CRC-32/ISO-HDLC.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
     }
 
     #[test]

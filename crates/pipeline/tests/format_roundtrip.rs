@@ -118,3 +118,39 @@ fn record_count_mismatch_is_a_decode_error() {
         Err(Error::ChunkDecode { chunk: 0 })
     ));
 }
+
+/// A 48-event `gcc:value:7` trace in chunks of 20 events, as an earlier
+/// build recorded it. Every chunk CRC must still validate, and re-encoding
+/// the decoded events must reproduce the file byte for byte, so the
+/// checksum can never drift from traces already on disk or on the wire.
+const PINNED_TRACE: &str = "\
+    4d48505452430d0a01000000000000008e000000140000005f10cdceb082e41081808080\
+    08bff3e30cedac02bf0e95e702c080aa0ce88508df80298280808008aff4800c89e603a0\
+    f9800c8380808008ff84810cf19a02e0e7800c8480808008ffdc800cebc30240d8a107a0\
+    fdff0b8580808008bf88800cf19a0280df8f0c8680808008bfd88f0c88c702b089b40cd3\
+    8708ef8eb40cebf805e00190f1037fe86b80ba810c87808080089a000000140000002aad\
+    513480bef3108880808008cfbcf30cc3ac01e0c7810c8980808008d0dd0c8a80808008df\
+    a58e0ce4f801f0efc60c8b80808008bf9e468d8608afd1800ce4f80140fc14e0d3c20c8c\
+    80808008efd4c20c95e702b0c6860c8d80808008e0b2098e80808008ffb6048f80808008\
+    ff9c099080808008bfa5820cf19a02a0b4880c91808080088fe107928080800880bf0493\
+    80808008d0c40294808080083900000008000000a2418c18f088800483ca039003f8e803\
+    e0d0850c9580808008c0ba099680808008bfed0997808080088fa8850ce444d003f89501\
+    c0d5870c9880808008000000000000000000000000";
+
+#[test]
+fn pinned_trace_validates_and_re_encodes_identically() {
+    let pinned: Vec<u8> = (0..PINNED_TRACE.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&PINNED_TRACE[i..i + 2], 16).unwrap())
+        .collect();
+    assert_eq!(pinned.len(), 417);
+
+    let reader = TraceReader::new(pinned.as_slice()).unwrap();
+    assert_eq!(reader.kind(), TraceKind::Value);
+    let events = reader.read_all().expect("every pinned chunk validates");
+    assert_eq!(events.len(), 48);
+
+    let mut writer = TraceWriter::new(Vec::new(), TraceKind::Value).with_chunk_events(20);
+    writer.write_all(events.iter().copied()).unwrap();
+    assert_eq!(writer.finish().unwrap(), pinned);
+}

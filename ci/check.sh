@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Full local gate, identical to .github/workflows/ci.yml:
-#   formatting, clippy (warnings are errors), tier-1 build + tests, and the
-#   whole workspace test suite. Run from anywhere inside the repo.
+#   formatting, clippy and rustdoc (warnings are errors), tier-1 build +
+#   tests, and the whole workspace test suite. Run from anywhere inside the
+#   repo.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -10,6 +11,9 @@ cargo fmt --all --check
 
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> cargo doc (deny warnings: broken and private intra-doc links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release

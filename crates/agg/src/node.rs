@@ -144,7 +144,14 @@ impl AggTelemetry {
                 "agg_tenant_events_merged_total",
                 "tenant",
             ),
-            tracer: Tracer::new(&registry, TraceConfig::new("agg", AGG_STAGES)),
+            tracer: Tracer::new(
+                &registry,
+                TraceConfig {
+                    prefix: "agg",
+                    stages: AGG_STAGES,
+                    enabled: true,
+                },
+            ),
             registry,
         }
     }

@@ -39,7 +39,7 @@
 //!    cut, in order, and [`IntervalProfile::merge`] sums them.
 //!
 //! Batches never cross an interval boundary, so workers need no boundary
-//! logic at all: observe the batch, cut on [`Msg::Cut`].
+//! logic at all: observe the batch, cut on a `Msg::Cut`.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -740,7 +740,8 @@ impl EngineSession {
     }
 
     /// Ingests one encoded trace chunk (as produced by
-    /// [`encode_chunk`](crate::encode_chunk) or a [`TraceWriter`] flush),
+    /// [`encode_chunk`](crate::encode_chunk) or a
+    /// [`TraceWriter`](crate::TraceWriter) flush),
     /// partitioning records into per-shard batches *while* decoding, and
     /// returns the bytes consumed — exactly what
     /// [`decode_chunk_into`](crate::decode_chunk_into) would have returned.

@@ -506,7 +506,7 @@ impl<'a> ChunkDecoder<'a> {
 
     /// Verifies the payload was fully consumed once every record is
     /// decoded — the "trailing undecoded bytes" check
-    /// [`decode_chunk_payload_into`] performs at the end.
+    /// `decode_chunk_payload_into` performs at the end.
     ///
     /// # Errors
     ///

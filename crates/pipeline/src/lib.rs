@@ -4,7 +4,7 @@
 //! thread. This crate scales that up to the shape of a production profiling
 //! backend, in two pieces:
 //!
-//! * **Binary traces** ([`format`]) — a compact, checksummed on-disk format
+//! * **Binary traces** ([`format`](mod@format)) — a compact, checksummed on-disk format
 //!   for `<pc, value>` event streams ([`TraceWriter`] / [`TraceReader`]),
 //!   so a workload is captured once and replayed deterministically through
 //!   any profiler configuration.

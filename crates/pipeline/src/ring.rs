@@ -15,7 +15,7 @@
 //! - [`Sender::send`] parks on a condvar until a slot frees, returning the
 //!   value only if the consumer disconnected.
 //! - [`Receiver::recv`] drains every message that was sent before the
-//!   producer disconnected, then reports [`RecvError::Disconnected`].
+//!   producer disconnected, then reports [`RecvError`].
 //! - Dropping either end wakes the peer immediately.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

@@ -119,7 +119,7 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// [`ErrorCode::SessionExists`](crate::ErrorCode::SessionExists) if the name is taken, plus the usual
+    /// [`ErrorCode::SessionExists`] if the name is taken, plus the usual
     /// transport failures.
     pub fn open_session(
         &mut self,
@@ -139,7 +139,7 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// [`ErrorCode::UnknownSession`](crate::ErrorCode::UnknownSession) if no such session exists.
+    /// [`ErrorCode::UnknownSession`] if no such session exists.
     pub fn attach(&mut self, name: &str) -> Result<SessionInfo, ServerError> {
         match self.call_ok(&Request::Attach {
             name: name.to_string(),
@@ -154,7 +154,7 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// [`ErrorCode::Ingest`](crate::ErrorCode::Ingest) if the server rejected the chunk.
+    /// [`ErrorCode::Ingest`] if the server rejected the chunk.
     pub fn ingest(&mut self, events: &[Tuple]) -> Result<(u64, u64), ServerError> {
         self.ingest_chunk(encode_chunk(events))
     }
@@ -180,7 +180,7 @@ impl Client {
     /// # Errors
     ///
     /// As [`ingest`](Self::ingest), plus
-    /// [`ErrorCode::BadRequest`](crate::ErrorCode::BadRequest) on a
+    /// [`ErrorCode::BadRequest`] on a
     /// sequence gap.
     pub fn ingest_seq(&mut self, seq: u64, chunk: Vec<u8>) -> Result<(u64, u64), ServerError> {
         match self.call_ok(&Request::IngestSeq { seq, chunk })? {
@@ -303,7 +303,7 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// [`ErrorCode::BadRequest`](crate::ErrorCode::BadRequest) from a
+    /// [`ErrorCode::BadRequest`] from a
     /// server predating the `traces` op (the unknown-opcode answer), plus
     /// transport failures.
     pub fn traces(&mut self) -> Result<String, ServerError> {

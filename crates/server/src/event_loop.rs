@@ -10,19 +10,21 @@
 //!   accept ─┐         │  loop thread: poll(2) readiness    │
 //!   conn ───┤ Reactor │  · FrameDecoder resumes mid-frame  │
 //!   conn ───┤         │  · dispatch → bounded job queue ───┼──► worker pool
-//!   conn ───┘         │  · completions → write buffers     │◄── (handle_request)
+//!   conn ───┘         │  · completions → write buffers     │◄── (respond)
 //!                     └────────────────────────────────────┘      + waker
 //! ```
 //!
-//! Each connection is a state machine ([`EConn`], implementing
+//! Each connection is a state machine (`EConn`, implementing
 //! [`mhp_net::Conn`]): bytes arriving on a readiness event feed an
 //! incremental [`FrameDecoder`] that resumes partial frames across events;
-//! complete frames become jobs on a bounded queue; workers run the same
-//! [`handle_request`] dispatch as the threaded front end (the connection's
-//! session attachment and decode scratch move into the job and come back
-//! with the completion — one job in flight per connection keeps request
-//! order and makes the move exclusive); completions append to a bounded
-//! write buffer flushed as the socket accepts it.
+//! complete frames go through the same request path as the threaded front
+//! end (`start_request`, then `respond` on a worker, then
+//! `Ticket::complete` once the reply is flushed). Only socket I/O is this
+//! module's own: requests become jobs on a bounded queue (the connection's
+//! session attachment moves into the job and comes back with the
+//! completion — one job in flight per connection keeps request order and
+//! makes the move exclusive), and replies append to a bounded write buffer
+//! flushed as the socket accepts it.
 //!
 //! ## Backpressure, in order of escalation
 //!
@@ -51,8 +53,8 @@
 //!    that cannot fit, the connection is closed.
 //!
 //! A peer stalling mid-frame is bounded by the same budget as the threaded
-//! front end (300 × read timeout), enforced by the reactor's timer wheel
-//! instead of per-read timeouts.
+//! front end (`MAX_MID_FRAME_TIMEOUTS` × read timeout), enforced by the
+//! reactor's timer wheel instead of per-read timeouts.
 
 use std::collections::VecDeque;
 use std::io::{Read, Write};
@@ -63,23 +65,22 @@ use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use mhp_faults::ConnAction;
 use mhp_net::{Conn, Event, Interest, Reactor, Slab, Step, TimerWheel, Token, Waker};
-use mhp_telemetry::{Counter, Gauge, Trace};
+use mhp_telemetry::{Counter, Gauge};
 
 use crate::error::ErrorCode;
-use crate::protocol::{FrameDecoder, Request, Response, MAX_FRAME_BYTES};
+use crate::protocol::{FrameDecoder, Request, MAX_FRAME_BYTES, MAX_MID_FRAME_TIMEOUTS};
 use crate::server::{
-    drain_sessions, handle_request, reject_overloaded, Attachment, Shared, STAGE_ADMISSION_WAIT,
-    STAGE_FRAME_DECODE, STAGE_QUEUE_WAIT, STAGE_REPLY_WRITE,
+    drain_sessions, error_frame, reject_overloaded, respond, start_request, Attachment, Shared,
+    Start, Ticket, STAGE_ADMISSION_WAIT, STAGE_QUEUE_WAIT, STAGE_REPLY_WRITE,
 };
 
 /// Tuning for the event-loop front end. The defaults suit a small host;
 /// all three knobs trade memory for tolerance of slow clients.
 #[derive(Debug, Clone)]
 pub struct EventLoopConfig {
-    /// Worker threads running [`handle_request`]. Socket I/O stays on the
-    /// loop thread regardless.
+    /// Worker threads running requests. Socket I/O stays on the loop
+    /// thread regardless.
     pub workers: usize,
     /// Bounded job queue depth shared by the workers; a full queue answers
     /// `Overloaded` instead of queueing.
@@ -145,11 +146,6 @@ impl NetMetrics {
     }
 }
 
-/// Mirror of the blocking reader's mid-frame stall budget
-/// (`MAX_MID_FRAME_TIMEOUTS` in `protocol.rs`): a peer silent for this
-/// many read-timeout periods partway through a frame is declared stalled.
-const STALL_BUDGET: u32 = 300;
-
 /// An admitted connection must land its first request within this many
 /// read-timeout periods, or its worker-queue reservation is released (the
 /// connection stays admitted; a late first request takes the normal
@@ -165,23 +161,20 @@ struct Job {
     request: Request,
     /// The connection's session hold, moved into the job and back.
     attached: Option<Attachment>,
-    /// Injected fault: tear this job's response frame, then hang up.
-    truncate: bool,
-    started: Instant,
-    /// The request's stage trace, riding the queue handoff: `started` to
-    /// worker pickup is the `queue_wait` stage.
-    trace: Trace,
+    /// The request's ticket (trace included), riding the queue handoff.
+    ticket: Ticket,
+    /// When the job was queued: from here to worker pickup is the
+    /// `queue_wait` stage.
+    queued: Instant,
 }
 
 /// A finished job, headed back to the loop thread.
 struct Completion {
     token: Token,
-    /// The encoded response body.
-    body: Vec<u8>,
+    /// The reply bytes to send.
+    reply: Vec<u8>,
     attached: Option<Attachment>,
-    truncate: bool,
-    started: Instant,
-    trace: Trace,
+    ticket: Ticket,
 }
 
 /// Per-connection state machine. `Interest::NONE`-style backpressure and
@@ -238,47 +231,30 @@ impl EConn {
         }
     }
 
-    /// Appends one framed body to the write buffer.
-    fn append_frame(&mut self, body: &[u8]) {
-        self.write_buf
-            .extend_from_slice(&(body.len() as u32).to_le_bytes());
-        self.write_buf.extend_from_slice(body);
-    }
-
     fn buffered_writes(&self) -> usize {
         self.write_buf.len() - self.write_pos
     }
 
-    /// Queues a response, shedding with `Overloaded` if the write buffer
-    /// is over its cap (the client is not draining responses).
-    fn queue_response(&mut self, body: &[u8]) {
-        if self.buffered_writes() + body.len() + 4 > self.write_cap {
-            self.net.write_sheds.incr();
-            self.shared.metrics.errors_total.incr();
-            let shed = Response::Error {
-                code: ErrorCode::Overloaded,
-                message: "write buffer over capacity; back off and retry".into(),
-            }
-            .encode();
-            if self.buffered_writes() + shed.len() + 4 <= self.write_cap {
-                self.append_frame(&shed);
-            } else {
-                // Not draining even tiny error frames: cut the connection.
-                self.close_now = true;
-            }
+    /// Queues one reply frame, shedding it for a retryable `Overloaded`
+    /// error if the write buffer is over its cap (the client is not
+    /// draining replies).
+    fn queue_reply(&mut self, reply: &[u8]) {
+        if self.buffered_writes() + reply.len() <= self.write_cap {
+            self.write_buf.extend_from_slice(reply);
             return;
         }
-        self.append_frame(body);
-    }
-
-    /// Queues an error response built from `code`/`message`.
-    fn queue_error(&mut self, code: ErrorCode, message: &str) {
-        let body = Response::Error {
-            code,
-            message: message.into(),
+        self.net.write_sheds.incr();
+        self.shared.metrics.errors_total.incr();
+        let shed = error_frame(
+            ErrorCode::Overloaded,
+            "write buffer over capacity; back off and retry".into(),
+        );
+        if self.buffered_writes() + shed.len() <= self.write_cap {
+            self.write_buf.extend_from_slice(&shed);
+        } else {
+            // Not draining even tiny error frames: cut the connection.
+            self.close_now = true;
         }
-        .encode();
-        self.queue_response(&body);
     }
 
     /// Reads everything the socket has, feeding the decoder.
@@ -313,64 +289,31 @@ impl EConn {
     /// the frames run out, or the connection is marked for close.
     fn dispatch_frames(&mut self) {
         while !self.busy && !self.close_now && !self.close_after_flush {
-            let body = match self.decoder.next_frame() {
-                Ok(Some(body)) => body,
-                Ok(None) => break,
-                Err(err) => {
-                    // Unrecoverable framing violation: answer best-effort,
-                    // then hang up — same as the threaded front end.
-                    self.shared.metrics.protocol_errors.incr();
-                    self.queue_error(err.code(), &err.wire_message());
-                    self.close_after_flush = true;
-                    break;
-                }
-            };
-            if self.shared.shutdown.load(Ordering::SeqCst) {
-                self.queue_error(ErrorCode::ShuttingDown, "server is shutting down");
-                self.close_after_flush = true;
+            let Some(frame) = self.decoder.next_frame().transpose() else {
                 break;
-            }
-            self.shared.metrics.requests_total.incr();
-            let decode_started = Instant::now();
-            let request = match Request::decode(&body) {
-                Ok(request) => request,
-                Err(err) => {
-                    self.shared.metrics.protocol_errors.incr();
-                    self.shared.metrics.errors_total.incr();
-                    self.queue_error(err.code(), &err.wire_message());
+            };
+            let (request, ticket) = match start_request(frame, &self.shared) {
+                Start::Run(request, ticket) => (request, ticket),
+                Start::Close(Some(reply)) => {
+                    self.queue_reply(&reply);
                     self.close_after_flush = true;
                     break;
                 }
-            };
-            // Decode runs on the loop thread; the trace begins here (kind
-            // is the decoded opcode) with decode time folded in as lead.
-            // The connection's parked time lands on its first request.
-            let trace = self.shared.tracer.begin(request.op_name());
-            trace.add_lead(STAGE_FRAME_DECODE, decode_started.elapsed());
-            if let Some(parked) = self.admission_wait.take() {
-                trace.add_lead(STAGE_ADMISSION_WAIT, parked);
-            }
-            // Injected connection faults, mirroring the threaded handler:
-            // `Drop` cuts the connection before the request applies;
-            // `TruncateResponse` applies it but tears the acknowledgement.
-            let mut truncate = false;
-            if let Some(hook) = &self.shared.config.fault_hook {
-                match hook.on_request() {
-                    ConnAction::Drop => {
-                        self.close_now = true;
-                        break;
-                    }
-                    ConnAction::TruncateResponse => truncate = true,
-                    ConnAction::Proceed => {}
+                Start::Close(None) => {
+                    self.close_now = true;
+                    break;
                 }
+            };
+            // The connection's parked time lands on its first request.
+            if let Some(parked) = self.admission_wait.take() {
+                ticket.trace.add_lead(STAGE_ADMISSION_WAIT, parked);
             }
             let job = Job {
                 token: self.token,
                 request,
                 attached: self.attached.take(),
-                truncate,
-                started: Instant::now(),
-                trace,
+                ticket,
+                queued: Instant::now(),
             };
             // The queue slot the admission reserved is consumed (or the
             // shed fallback below answers) right now.
@@ -386,10 +329,10 @@ impl EConn {
                     self.attached = job.attached;
                     self.net.queue_sheds.incr();
                     self.shared.metrics.errors_total.incr();
-                    self.queue_error(
+                    self.queue_reply(&error_frame(
                         ErrorCode::Overloaded,
-                        "worker queue is full; back off and retry",
-                    );
+                        "worker queue is full; back off and retry".into(),
+                    ));
                 }
                 Err(TrySendError::Disconnected(_)) => {
                     self.close_now = true;
@@ -450,42 +393,26 @@ impl EConn {
         })
     }
 
-    /// Folds a completed job back in: restore the moved state, queue the
-    /// response (or its injected torn version), and dispatch any frames
-    /// that buffered while the job ran.
+    /// Folds a completed job back in: restore the moved state, send the
+    /// reply, complete the ticket, and dispatch any frames that buffered
+    /// while the job ran — or close once flushed if the ticket says so.
     fn on_completion(&mut self, completion: Completion) {
         self.net.worker_queue_depth.decr();
         self.busy = false;
         self.attached = completion.attached;
-        self.shared
-            .metrics
-            .request_latency
-            .record_duration(completion.started.elapsed());
-        if completion.truncate {
-            // Injected torn frame: full length prefix, half the body, then
-            // hang up — what a server crashing mid-write produces. The
-            // trace is dropped unfinished and records nothing, matching
-            // the threaded front end's abort paths.
-            let body = &completion.body;
-            self.write_buf
-                .extend_from_slice(&(body.len() as u32).to_le_bytes());
-            self.write_buf.extend_from_slice(&body[..body.len() / 2]);
-            self.close_after_flush = true;
-            self.flush_writes();
-            return;
-        }
-        self.queue_response(&completion.body);
-        {
-            // `reply_write` covers the synchronous flush attempt only: a
-            // backpressured tail drains on later writability events, off
-            // this trace (see DESIGN §17).
-            let write_timer = completion.trace.stage(STAGE_REPLY_WRITE);
-            self.flush_writes();
-            write_timer.finish();
-        }
-        completion.trace.finish();
-        self.dispatch_frames();
+        self.queue_reply(&completion.reply);
+        // `reply_write` covers the synchronous flush attempt only: a
+        // backpressured tail drains on later writability events, off this
+        // trace (see DESIGN §17).
+        let write_timer = completion.ticket.trace.stage(STAGE_REPLY_WRITE);
         self.flush_writes();
+        write_timer.finish();
+        if completion.ticket.complete(!self.close_now, &self.shared) {
+            self.dispatch_frames();
+            self.flush_writes();
+        } else {
+            self.close_after_flush = true;
+        }
     }
 }
 
@@ -529,8 +456,8 @@ impl Conn for EConn {
     }
 }
 
-/// The worker-pool thread body: run jobs through the same dispatch as the
-/// threaded front end, push the completion, wake the loop.
+/// The worker-pool thread body: run jobs through the shared [`respond`],
+/// push the completion, wake the loop.
 fn worker(
     jobs: Arc<Mutex<Receiver<Job>>>,
     shared: Arc<Shared>,
@@ -542,31 +469,27 @@ fn worker(
             let guard = jobs.lock().expect("job queue lock poisoned");
             guard.recv()
         };
-        let Ok(mut job) = job else { return };
-        // Enqueue-to-pickup, measured across the thread handoff.
-        job.trace.add(STAGE_QUEUE_WAIT, job.started.elapsed());
-        let result = handle_request(job.request, &mut job.attached, &shared, &job.trace);
-        let body = match result {
-            Ok(response) => response.encode(),
-            Err(err) => {
-                shared.metrics.errors_total.incr();
-                Response::Error {
-                    code: err.code(),
-                    message: err.wire_message(),
-                }
-                .encode()
-            }
+        let Ok(Job {
+            token,
+            request,
+            mut attached,
+            ticket,
+            queued,
+        }) = job
+        else {
+            return;
         };
+        // Enqueue-to-pickup, measured across the thread handoff.
+        ticket.trace.add(STAGE_QUEUE_WAIT, queued.elapsed());
+        let reply = respond(request, &mut attached, &shared, &ticket);
         completions
             .lock()
             .expect("completion queue lock poisoned")
             .push(Completion {
-                token: job.token,
-                body,
-                attached: job.attached,
-                truncate: job.truncate,
-                started: job.started,
-                trace: job.trace,
+                token,
+                reply,
+                attached,
+                ticket,
             });
         waker.wake();
     }
@@ -799,7 +722,7 @@ fn finish_step(
                 let stall = shared
                     .config
                     .read_timeout
-                    .saturating_mul(STALL_BUDGET)
+                    .saturating_mul(MAX_MID_FRAME_TIMEOUTS)
                     .max(Duration::from_millis(50));
                 wheel.schedule(token, now, stall);
             } else {

@@ -29,8 +29,11 @@ macro_rules! server_metrics {
         pub struct Metrics {
             registry: Registry,
             $(#[doc = $doc] pub $field: $kind,)+
-            /// Latency of each request, measured from decoded request to
-            /// written response, in microseconds.
+            /// Latency of each request in microseconds, from the start of
+            /// frame decode until the reply is written (the event loop:
+            /// until its synchronous flush returns). Only requests whose
+            /// whole reply was sent count; torn replies and failed writes
+            /// do not.
             pub request_latency: Histogram,
             /// Time spent decoding each ingested chunk, in microseconds.
             pub chunk_decode: Histogram,

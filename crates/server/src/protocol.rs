@@ -33,6 +33,12 @@ use crate::error::{ErrorCode, ServerError};
 /// with its opcode byte.
 pub const MAX_FRAME_BYTES: usize = mhp_pipeline::MAX_CHUNK_BYTES + 64;
 
+/// Read-timeout periods a peer may stay silent partway through a frame
+/// before it is declared stalled — [`read_frame`]'s retry budget and the
+/// event loop's stall timer alike. With the server's read timeout this
+/// bounds a half-written frame to roughly a minute, instead of forever.
+pub(crate) const MAX_MID_FRAME_TIMEOUTS: u32 = 300;
+
 /// Which profiler architecture a session runs; the wire form of
 /// [`mhp_pipeline::ProfilerSpec`] (always the paper's best configuration).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -679,11 +685,29 @@ impl Response {
     /// Encodes the response into a frame body (no length prefix).
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Encodes the response as one whole frame, length prefix included,
+    /// in a single buffer: what a server puts on the wire.
+    pub(crate) fn encode_frame(&self) -> Vec<u8> {
+        // Small replies (acks, errors) fit without regrowing the buffer.
+        let mut frame = Vec::with_capacity(64);
+        frame.extend_from_slice(&[0; 4]);
+        self.encode_into(&mut frame);
+        let len = (frame.len() - 4) as u32;
+        frame[..4].copy_from_slice(&len.to_le_bytes());
+        frame
+    }
+
+    /// Appends the response body to `out`.
+    fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             Response::Done => out.push(TAG_DONE),
             Response::Session(info) => {
                 out.push(TAG_SESSION);
-                push_session_info(&mut out, info);
+                push_session_info(out, info);
             }
             Response::SessionList {
                 sessions,
@@ -692,7 +716,7 @@ impl Response {
                 out.push(TAG_SESSION_LIST);
                 out.extend_from_slice(&(sessions.len() as u32).to_le_bytes());
                 for info in sessions {
-                    push_session_info(&mut out, info);
+                    push_session_info(out, info);
                 }
                 // The health block is strictly optional on the wire: leaf
                 // servers (empty list) encode nothing after the sessions,
@@ -700,7 +724,7 @@ impl Response {
                 if !upstreams.is_empty() {
                     out.extend_from_slice(&(upstreams.len() as u32).to_le_bytes());
                     for health in upstreams {
-                        push_upstream_health(&mut out, health);
+                        push_upstream_health(out, health);
                     }
                 }
             }
@@ -714,12 +738,12 @@ impl Response {
                 out.extend_from_slice(&profile.interval_index.to_le_bytes());
                 out.extend_from_slice(&profile.interval_len.to_le_bytes());
                 out.extend_from_slice(&profile.threshold.to_le_bytes());
-                push_candidates(&mut out, &profile.candidates);
+                push_candidates(out, &profile.candidates);
             }
             Response::NoProfile => out.push(TAG_NO_PROFILE),
             Response::TopK(candidates) => {
                 out.push(TAG_TOPK);
-                push_candidates(&mut out, candidates);
+                push_candidates(out, candidates);
             }
             Response::Resume { last_seq } => {
                 out.push(TAG_RESUME);
@@ -748,7 +772,6 @@ impl Response {
                 out.extend_from_slice(message);
             }
         }
-        out
     }
 
     /// Decodes a frame body into a response.
@@ -872,11 +895,6 @@ pub fn write_frame(writer: &mut impl Write, body: &[u8]) -> Result<(), ServerErr
 /// over [`MAX_FRAME_BYTES`] (rejected before allocation), or truncation
 /// inside a frame.
 pub fn read_frame(reader: &mut impl Read) -> Result<Option<Vec<u8>>, ServerError> {
-    /// Consecutive mid-frame timeouts tolerated before the peer is
-    /// declared stalled. With the server's read timeout this bounds a
-    /// half-written frame to roughly a minute, instead of forever.
-    const MAX_MID_FRAME_TIMEOUTS: u32 = 300;
-
     // Fills `buf` completely. `frame_started` distinguishes an idle
     // timeout at a frame boundary (surfaced to the caller, no bytes lost)
     // from a timeout mid-frame (retried here, because returning would

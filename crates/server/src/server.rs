@@ -30,10 +30,10 @@
 //! freshly bound server scans that directory and restores every snapshot
 //! it finds before accepting connections, so a restored session answers
 //! `snapshot`/`topk` bit-identically to the pre-crash one. Sequenced
-//! ingest ([`Request::IngestSeq`](crate::Request::IngestSeq)) gives
+//! ingest ([`Request::IngestSeq`]) gives
 //! reconnecting clients idempotent resume: a replayed chunk is
 //! acknowledged without being re-applied, and
-//! [`Request::Resume`](crate::Request::Resume) reports the last applied
+//! [`Request::Resume`] reports the last applied
 //! sequence. Admission control sheds ingest with a typed
 //! [`ErrorCode::Overloaded`] response once live connections exceed
 //! [`ServerConfig::overload_connection_watermark`].
@@ -60,8 +60,8 @@ use mhp_pipeline::{
 use crate::error::{ErrorCode, ServerError};
 use crate::metrics::{Counter, Metrics};
 use crate::protocol::{
-    read_frame, write_frame, ProfileData, ProfilerKind, Request, Response, SessionConfig,
-    SessionInfo, MAX_NAME_BYTES,
+    read_frame, ProfileData, ProfilerKind, Request, Response, SessionConfig, SessionInfo,
+    MAX_NAME_BYTES,
 };
 
 /// Tuning for a [`Server`].
@@ -494,8 +494,8 @@ pub(crate) struct Shared {
     /// Sketch introspection sink installed on every session's shard
     /// profilers; also feeds the shared registry.
     sketch_sink: Arc<dyn IntrospectionSink>,
-    /// Per-request stage tracing: histograms, sample reservoirs, and the
-    /// span ring behind the `traces` query.
+    /// Per-request stage tracing: histograms and the sample reservoirs
+    /// behind the `traces` query.
     pub(crate) tracer: Tracer,
     /// Zero point for session last-touch timestamps.
     epoch: Instant,
@@ -537,11 +537,14 @@ impl Server {
         let engine_telemetry = EngineTelemetry::new(metrics.registry());
         let sketch_sink: Arc<dyn IntrospectionSink> =
             Arc::new(RegistrySink::new(metrics.registry()));
-        let tracer = {
-            let mut trace_config = TraceConfig::new("server", SERVER_STAGES);
-            trace_config.enabled = config.tracing;
-            Tracer::new(metrics.registry(), trace_config)
-        };
+        let tracer = Tracer::new(
+            metrics.registry(),
+            TraceConfig {
+                prefix: "server",
+                stages: SERVER_STAGES,
+                enabled: config.tracing,
+            },
+        );
         let shared = Arc::new(Shared {
             config,
             sessions: Mutex::new(HashMap::new()),
@@ -1061,20 +1064,17 @@ pub(crate) fn drain_sessions(shared: &Shared) {
 /// instead of giving up (being at the connection cap is transient by
 /// nature). The write is bounded: a peer that cannot even absorb one tiny
 /// frame is not worth waiting on.
-pub(crate) fn reject_overloaded(stream: TcpStream) {
+pub(crate) fn reject_overloaded(mut stream: TcpStream) {
     let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
-    let mut writer = BufWriter::new(stream);
-    let body = Response::Error {
-        code: ErrorCode::Overloaded,
-        message: "server is at its connection limit; back off and retry".into(),
-    }
-    .encode();
-    let _ = write_frame(&mut writer, &body);
-    let _ = writer.flush();
+    let _ = stream.write_all(&error_frame(
+        ErrorCode::Overloaded,
+        "server is at its connection limit; back off and retry".into(),
+    ));
 }
 
-/// Serves one connection until EOF, a protocol violation, or shutdown.
-fn handle_connection(stream: TcpStream, shared: &Shared) {
+/// Serves one connection until EOF, a protocol violation, or shutdown:
+/// blocking reads and writes around the shared request path.
+fn handle_connection(mut stream: TcpStream, shared: &Shared) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(shared.config.read_timeout));
     // A stalled peer that stops draining its socket bounds us to one write
@@ -1084,17 +1084,15 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
         Ok(clone) => clone,
         Err(_) => return,
     });
-    let mut writer = BufWriter::new(stream);
     // The session this connection opened or attached to, if any. Dropping
     // the hold (replacement, close, or any handler exit) releases the
     // session back to the eviction sweep.
     let mut attached: Option<Attachment> = None;
 
     loop {
-        let body = match read_frame(&mut reader) {
-            Ok(Some(body)) => body,
-            Ok(None) => return, // clean EOF
-            Err(ServerError::Io(e))
+        let frame = match read_frame(&mut reader).transpose() {
+            None => return, // clean EOF
+            Some(Err(ServerError::Io(e)))
                 if matches!(
                     e.kind(),
                     std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
@@ -1105,101 +1103,160 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
                 }
                 continue;
             }
-            Err(err) => {
-                // Protocol violation (or hard I/O error): answer if the
-                // socket still works, then hang up.
-                shared.metrics.protocol_errors.incr();
-                respond_error(&mut writer, &err);
-                return;
-            }
+            Some(frame) => frame,
         };
-        if shared.shutdown.load(Ordering::SeqCst) {
-            let refusal = ServerError::Remote {
-                code: ErrorCode::ShuttingDown,
-                message: "server is shutting down".into(),
-            };
-            respond_error(&mut writer, &refusal);
-            return;
-        }
-        shared.metrics.requests_total.incr();
-        let started = Instant::now();
-        let request = match Request::decode(&body) {
-            Ok(request) => request,
-            Err(err) => {
-                shared.metrics.protocol_errors.incr();
-                shared.metrics.errors_total.incr();
-                respond_error(&mut writer, &err);
-                return;
-            }
-        };
-        // The trace kind is the decoded opcode, so it begins *after*
-        // decode; the decode time lands as lead so the span still covers
-        // it. A trace dropped on any abort path below records nothing.
-        let trace = shared.tracer.begin(request.op_name());
-        trace.add_lead(STAGE_FRAME_DECODE, started.elapsed());
-        // Injected connection faults. `Drop` cuts the connection before
-        // the request is applied (the replayed chunk must then be
-        // re-applied); `TruncateResponse` applies the request but tears
-        // the acknowledgement (the replay must then dedup). Together they
-        // cover both halves of idempotent resume.
-        let conn_fault = match &shared.config.fault_hook {
-            Some(hook) => hook.on_request(),
-            None => ConnAction::Proceed,
-        };
-        if conn_fault == ConnAction::Drop {
-            return;
-        }
-        let response = match handle_request(request, &mut attached, shared, &trace) {
-            Ok(response) => response,
-            Err(err) => {
-                shared.metrics.errors_total.incr();
-                Response::Error {
-                    code: err.code(),
-                    message: err.wire_message(),
+        let (request, ticket) = match start_request(frame, shared) {
+            Start::Run(request, ticket) => (request, ticket),
+            Start::Close(reply) => {
+                if let Some(reply) = reply {
+                    let _ = stream.write_all(&reply);
                 }
+                return;
             }
         };
-        let encoded = response.encode();
-        if conn_fault == ConnAction::TruncateResponse {
-            truncate_response(&mut writer, &encoded);
-            return;
-        }
-        let write_timer = trace.stage(STAGE_REPLY_WRITE);
-        if write_frame(&mut writer, &encoded).is_err() {
-            return;
-        }
+        let reply = respond(request, &mut attached, shared, &ticket);
+        let write_timer = ticket.trace.stage(STAGE_REPLY_WRITE);
+        let written = stream.write_all(&reply).is_ok();
         write_timer.finish();
-        trace.finish();
+        if !ticket.complete(written, shared) {
+            return;
+        }
+    }
+}
+
+// The request path. Both front ends run every request through these three
+// steps — frame to request, request to reply bytes, completion — and keep
+// only their socket I/O: blocking reads (`handle_connection`) or readiness
+// plus a worker queue (`event_loop`).
+
+/// A running request's bookkeeping, from frame decode to completion.
+pub(crate) struct Ticket {
+    /// The request's stage trace; front ends time their own stages on it.
+    pub(crate) trace: Trace,
+    /// When frame decode began: the start of the `request_latency` span.
+    started: Instant,
+    /// Injected fault: send half the reply frame, then hang up.
+    torn: bool,
+}
+
+/// What a front end does with one received frame.
+pub(crate) enum Start {
+    /// Run the request with [`respond`], send the reply, then
+    /// [`complete`](Ticket::complete) the ticket.
+    Run(Request, Ticket),
+    /// Send this reply, if any, then close the connection.
+    Close(Option<Vec<u8>>),
+}
+
+/// The one encoder of error replies: a whole `Response::Error` frame.
+pub(crate) fn error_frame(code: ErrorCode, message: String) -> Vec<u8> {
+    Response::Error { code, message }.encode_frame()
+}
+
+/// Frame → request. `frame` is a received frame body, or the framing error
+/// the front end's reader hit instead (an oversized or truncated frame, a
+/// stalled peer). Refuses during shutdown, counts the request, decodes it
+/// (a malformed body is a protocol error: error reply, then close), begins
+/// its trace with the decode time as lead, and consults the connection
+/// fault hook: `Drop` cuts the connection before the request applies (a
+/// replayed chunk must then be re-applied); `TruncateResponse` applies it
+/// but tears the reply (the replay must then dedup). Together they cover
+/// both halves of idempotent resume.
+pub(crate) fn start_request(frame: Result<Vec<u8>, ServerError>, shared: &Shared) -> Start {
+    let body = match frame {
+        Ok(body) => body,
+        Err(err) => {
+            shared.metrics.protocol_errors.incr();
+            return Start::Close(Some(error_frame(err.code(), err.wire_message())));
+        }
+    };
+    if shared.shutdown.load(Ordering::SeqCst) {
+        return Start::Close(Some(error_frame(
+            ErrorCode::ShuttingDown,
+            "server is shutting down".into(),
+        )));
+    }
+    shared.metrics.requests_total.incr();
+    let started = Instant::now();
+    let request = match Request::decode(&body) {
+        Ok(request) => request,
+        Err(err) => {
+            shared.metrics.protocol_errors.incr();
+            shared.metrics.errors_total.incr();
+            return Start::Close(Some(error_frame(err.code(), err.wire_message())));
+        }
+    };
+    // The trace kind is the decoded opcode, so it begins *after* decode;
+    // the decode time lands as lead so the span still covers it. A trace
+    // dropped on any abort path records nothing.
+    let trace = shared.tracer.begin(request.op_name());
+    trace.add_lead(STAGE_FRAME_DECODE, started.elapsed());
+    let fault = match &shared.config.fault_hook {
+        Some(hook) => hook.on_request(),
+        None => ConnAction::Proceed,
+    };
+    if fault == ConnAction::Drop {
+        return Start::Close(None);
+    }
+    let torn = fault == ConnAction::TruncateResponse;
+    Start::Run(
+        request,
+        Ticket {
+            trace,
+            started,
+            torn,
+        },
+    )
+}
+
+/// Request → reply bytes. Runs the request; a handler error becomes a
+/// `Response::Error` counted in `errors_total`. Returns the whole reply
+/// frame or, under an injected `truncate-frame` fault, its length prefix
+/// and half the body — exactly what a server crashing mid-write produces.
+pub(crate) fn respond(
+    request: Request,
+    attached: &mut Option<Attachment>,
+    shared: &Shared,
+    ticket: &Ticket,
+) -> Vec<u8> {
+    let mut reply = match handle_request(request, attached, shared, &ticket.trace) {
+        Ok(response) => response.encode_frame(),
+        Err(err) => {
+            shared.metrics.errors_total.incr();
+            error_frame(err.code(), err.wire_message())
+        }
+    };
+    if ticket.torn {
+        reply.truncate(4 + (reply.len() - 4) / 2);
+    }
+    reply
+}
+
+impl Ticket {
+    /// Completion, once the front end has sent the reply: finishes the
+    /// trace and records `request_latency`, from the start of frame decode
+    /// to the sent reply — the trace's span, less any admission wait the
+    /// event loop adds as lead. A torn reply or a failed write records
+    /// neither and closes the connection. Returns whether the connection
+    /// stays open.
+    pub(crate) fn complete(self, written: bool, shared: &Shared) -> bool {
+        if self.torn || !written {
+            return false;
+        }
+        self.trace.finish();
         shared
             .metrics
             .request_latency
-            .record_duration(started.elapsed());
+            .record_duration(self.started.elapsed());
+        true
     }
 }
 
-/// Injected torn frame: the length prefix promises the whole body but
-/// only half arrives before the hangup — exactly what a server crashing
-/// mid-write produces.
-fn truncate_response(writer: &mut impl Write, body: &[u8]) {
-    let _ = writer.write_all(&(body.len() as u32).to_le_bytes());
-    let _ = writer.write_all(&body[..body.len() / 2]);
-    let _ = writer.flush();
-}
-
-fn respond_error(writer: &mut impl Write, err: &ServerError) {
-    let body = Response::Error {
-        code: err.code(),
-        message: err.wire_message(),
-    }
-    .encode();
-    let _ = write_frame(writer, &body);
-}
-
-/// Dispatches one decoded request against the shared state. Used by both
-/// front ends: threaded handlers call it on their own thread; the event
-/// loop's worker pool calls it with the connection's attachment moved into
-/// the job (one job in flight per connection, so the move is exclusive).
-pub(crate) fn handle_request(
+/// Dispatches one decoded request against the shared state, for
+/// [`respond`]: on the connection's own thread (threaded) or on a worker
+/// with the connection's attachment moved into the job (event loop — one
+/// job in flight per connection, so the move is exclusive).
+fn handle_request(
     request: Request,
     attached: &mut Option<Attachment>,
     shared: &Shared,

@@ -639,7 +639,7 @@ fn traces_expose_stage_quantiles_and_sampled_records() {
         );
     }
     assert!(stat_value(&metrics, "server_traces_total").unwrap() > 0);
-    assert!(stat_value(&metrics, "server_trace_spans_recorded").unwrap() > 0);
+    assert!(stat_value(&metrics, "server_traces_sampled_total").unwrap() > 0);
     client.shutdown_server().unwrap();
     server.join();
 }

@@ -198,6 +198,160 @@ fn conn_faults_recover_bit_identically_under_event_loop() {
     }
 }
 
+/// One scripted raw-socket run: every reply exactly as it arrived (length
+/// prefix included, cut short where the server hung up), and the deltas of
+/// the request counters the script caused.
+struct ScriptRun {
+    replies: Vec<Vec<u8>>,
+    counters: Vec<(&'static str, u64)>,
+}
+
+/// Sends `frames` on one fresh connection, one at a time, collecting each
+/// reply; the server must hang up after the last one.
+fn run_connection(addr: std::net::SocketAddr, frames: &[Vec<u8>]) -> Vec<Vec<u8>> {
+    use std::io::Read;
+    let mut stream = std::net::TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut replies = Vec::new();
+    for frame in frames {
+        stream.write_all(frame).unwrap();
+        let mut reply = vec![0u8; 4];
+        stream.read_exact(&mut reply).unwrap();
+        let len = u32::from_le_bytes(reply[..4].try_into().unwrap());
+        (&mut stream)
+            .take(u64::from(len))
+            .read_to_end(&mut reply)
+            .unwrap();
+        replies.push(reply);
+    }
+    let mut rest = Vec::new();
+    stream.read_to_end(&mut rest).unwrap();
+    assert!(rest.is_empty(), "bytes after the last reply: {rest:?}");
+    replies
+}
+
+/// Runs the parity script against a fresh server: ordinary requests, a torn
+/// reply, a handler error, a malformed request and an oversized frame.
+fn run_parity_script(config: ServerConfig) -> ScriptRun {
+    const COUNTERS: [&str; 4] = [
+        "requests_total",
+        "errors_total",
+        "protocol_errors",
+        "request_latency_count",
+    ];
+    // The fourth decoded request — the opening stats read is the first —
+    // gets a torn reply.
+    let hook = FaultPlan::new(0x5EED)
+        .with_fault(FaultKind::TruncateFrame, 4)
+        .arm();
+    let server = Server::bind(
+        "127.0.0.1:0",
+        ServerConfig {
+            fault_hook: Some(hook),
+            ..config
+        },
+    )
+    .unwrap();
+    let addr = server.local_addr();
+    let framed = |body: Vec<u8>| {
+        let mut frame = (body.len() as u32).to_le_bytes().to_vec();
+        frame.extend_from_slice(&body);
+        frame
+    };
+    let session = SessionConfig {
+        kind: ProfilerKind::MultiHash,
+        shards: 1,
+        interval_len: 1_000,
+        threshold: 0.01,
+        seed: 7,
+    };
+    let chunk = mhp_pipeline::encode_chunk(&workload(3, 2_500));
+    let attach = |name: &str| {
+        framed(
+            mhp_server::Request::Attach {
+                name: name.to_string(),
+            }
+            .encode(),
+        )
+    };
+
+    // Counters are read on one connection before and after the script, so
+    // each read's own request lands in the deltas the same way in both
+    // front ends.
+    let mut probe = Client::connect(addr).unwrap();
+    let count = |stats: &str, name: &str| mhp_server::stat_value(stats, name).unwrap();
+    let before = probe.stats().unwrap();
+
+    let mut replies = run_connection(
+        addr,
+        &[
+            framed(
+                mhp_server::Request::Open {
+                    name: "parity".into(),
+                    config: session,
+                }
+                .encode(),
+            ),
+            framed(mhp_server::Request::Ingest { chunk }.encode()),
+            framed(mhp_server::Request::TopK { n: 4 }.encode()),
+        ],
+    );
+    replies.extend(run_connection(
+        addr,
+        &[
+            attach("parity"),
+            attach("missing"),
+            framed(mhp_server::Request::Snapshot { interval: u64::MAX }.encode()),
+            framed(vec![0xEE]), // unknown opcode
+        ],
+    ));
+    replies.extend(run_connection(addr, &[u32::MAX.to_le_bytes().to_vec()]));
+
+    let after = probe.stats().unwrap();
+    probe.shutdown_server().unwrap();
+    server.join();
+    ScriptRun {
+        replies,
+        counters: COUNTERS
+            .iter()
+            .map(|&name| (name, count(&after, name) - count(&before, name)))
+            .collect(),
+    }
+}
+
+/// Both front ends run one request path, so the same script gets the same
+/// reply bytes and moves the request counters the same way. In particular
+/// a torn reply is not a completed request in either: `request_latency`
+/// counts only replies that were sent whole.
+#[test]
+fn front_ends_agree_on_replies_and_request_accounting() {
+    let threaded = run_parity_script(ServerConfig::default());
+    let event_loop = run_parity_script(event_loop_config());
+    assert_eq!(threaded.replies.len(), 8);
+    let torn = &threaded.replies[2];
+    let declared = u32::from_le_bytes(torn[..4].try_into().unwrap()) as usize;
+    assert!(torn.len() - 4 < declared, "third reply is torn: {torn:?}");
+    for (i, (a, b)) in threaded.replies.iter().zip(&event_loop.replies).enumerate() {
+        assert_eq!(a, b, "reply {} differs between front ends", i + 1);
+    }
+    assert_eq!(threaded.counters, event_loop.counters);
+    // Seven scripted requests plus the closing stats read; two errors (the
+    // unknown session and the malformed request); two protocol errors (the
+    // malformed request and the oversized frame); latency for the five
+    // whole scripted replies plus the opening stats read.
+    assert_eq!(
+        threaded.counters,
+        [
+            ("requests_total", 8),
+            ("errors_total", 2),
+            ("protocol_errors", 2),
+            ("request_latency_count", 6),
+        ]
+    );
+}
+
 /// Beyond `max_connections` the event loop answers with a retryable
 /// `overloaded` rejection, exactly like the threaded front end.
 #[test]

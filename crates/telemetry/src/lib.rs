@@ -1,4 +1,4 @@
-//! # mhp-telemetry — workspace-wide metrics and structured event logging
+//! # mhp-telemetry — workspace-wide metrics and request tracing
 //!
 //! Every layer of the profiler stack (sketches in `mhp-core`, the sharded
 //! engine in `mhp-pipeline`, the TCP service in `mhp-server`) wants to
@@ -13,15 +13,14 @@
 //! This crate provides those as cheap cloneable handles backed by relaxed
 //! atomics, a [`Registry`] that names them and renders the whole set in
 //! Prometheus text-exposition format ([`Registry::render_prometheus`]) or
-//! as one-line JSON snapshots ([`Registry::snapshot_json`]), and a bounded
-//! ring-buffer [`EventLog`] for structured spans (start/end timestamps
-//! plus `key=value` fields) that records without ever blocking and drains
-//! postmortem.
+//! as one-line JSON snapshots ([`Registry::snapshot_json`]), and a
+//! [`Tracer`] that breaks each request into per-stage durations: every
+//! finished [`Trace`] feeds one histogram per stage, and a bounded sample
+//! of whole traces (the slowest plus every Nth) renders as JSONL.
 //!
 //! Nothing here allocates on the record path: counters and gauges are one
-//! relaxed `fetch_add`, histograms are three, and the event log commits a
-//! span through a `try_lock` that drops the span (and counts the drop)
-//! rather than wait.
+//! relaxed `fetch_add`, histograms are three, and a trace allocates only
+//! when it is sampled.
 //!
 //! ## Quick example
 //!
@@ -42,12 +41,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
-pub mod events;
 pub mod histogram;
 pub mod registry;
 pub mod trace;
 
-pub use events::{EventLog, SpanEvent, SpanTimer};
 pub use histogram::{Histogram, HISTOGRAM_BUCKETS};
 pub use registry::{stat_value, Counter, CounterVec, Gauge, MetricKind, Registry};
 pub use trace::{StageSummary, StageTimer, Trace, TraceConfig, TraceRecord, Tracer, MAX_STAGES};

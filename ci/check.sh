@@ -53,6 +53,15 @@ cargo run --release -p mhp-bench --bin mhp-bench -- fleet \
   --servers 2 --sessions-per-server 1 --fault-rates 0,50 --events 10000 \
   --clean-budget-cycles 400 --out target/BENCH_fleet_smoke.json
 
+# Sketch behaviour gate: the hotpath run's sketch-health counts (shield
+# hits, promotions, retention, occupancy for both sketches) are
+# deterministic, so a default run must reproduce the committed telemetry
+# byte for byte. Its throughput numbers are not gated.
+echo "==> sketch telemetry gate (hotpath counts vs BENCH_hotpath_telemetry.json)"
+cargo run --release -p mhp-bench --bin mhp-bench -- hotpath \
+  --samples 1 --out target/BENCH_hotpath_check.json
+cmp target/BENCH_hotpath_check_telemetry.json BENCH_hotpath_telemetry.json
+
 # Perf smoke: a scaled-down hotpath run proves the bench harness still
 # executes end to end. Non-gating — throughput numbers vary by machine, so
 # a failure here warns instead of failing the gate; the shard-scaling

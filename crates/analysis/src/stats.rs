@@ -39,10 +39,10 @@ impl ComparisonResult {
 ///
 /// ```
 /// use mhp_analysis::run_comparison;
-/// use mhp_core::{IntervalConfig, SingleHashConfig, SingleHashProfiler, Tuple};
+/// use mhp_core::{IntervalConfig, MultiHashProfiler, SingleHashConfig, Tuple};
 /// # fn main() -> Result<(), mhp_core::ConfigError> {
 /// let interval = IntervalConfig::new(500, 0.02)?;
-/// let mut hw = SingleHashProfiler::new(interval, SingleHashConfig::best(), 9)?;
+/// let mut hw = MultiHashProfiler::single_hash(interval, SingleHashConfig::best(), 9)?;
 /// let events = (0..2_000u64).map(|i| Tuple::new(i % 20, 1));
 /// let result = run_comparison(&mut hw, events);
 /// assert_eq!(result.series().len(), 4);

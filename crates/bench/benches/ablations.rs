@@ -4,8 +4,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use mhp_core::{
-    EventProfiler, IntervalConfig, MultiHashConfig, MultiHashProfiler, SingleHashConfig,
-    SingleHashProfiler, Tuple,
+    EventProfiler, IntervalConfig, MultiHashConfig, MultiHashProfiler, SingleHashConfig, Tuple,
 };
 use mhp_trace::Benchmark;
 
@@ -80,7 +79,8 @@ fn bench_accumulator_capacity(c: &mut Criterion) {
         let interval = IntervalConfig::new(10_000, threshold).unwrap();
         group.bench_function(label, |b| {
             b.iter(|| {
-                let mut p = SingleHashProfiler::new(interval, SingleHashConfig::best(), 1).unwrap();
+                let mut p =
+                    MultiHashProfiler::single_hash(interval, SingleHashConfig::best(), 1).unwrap();
                 drive(&mut p, &events)
             })
         });

@@ -6,7 +6,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use mhp_core::{
     EventProfiler, IntervalConfig, MultiHashConfig, MultiHashProfiler, PerfectProfiler,
-    SingleHashConfig, SingleHashProfiler, Tuple,
+    SingleHashConfig, Tuple,
 };
 use mhp_stratified::{StratifiedConfig, StratifiedSampler};
 use mhp_trace::Benchmark;
@@ -36,7 +36,8 @@ fn bench_architectures(c: &mut Criterion) {
 
     group.bench_function("single_hash_best", |b| {
         b.iter(|| {
-            let mut p = SingleHashProfiler::new(interval, SingleHashConfig::best(), 1).unwrap();
+            let mut p =
+                MultiHashProfiler::single_hash(interval, SingleHashConfig::best(), 1).unwrap();
             drive(&mut p, &events)
         })
     });

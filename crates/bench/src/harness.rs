@@ -1,9 +1,7 @@
 //! Shared experiment plumbing: profiler construction and run options.
 
 use mhp_analysis::{run_comparison, ErrorSeries};
-use mhp_core::{
-    IntervalConfig, MultiHashConfig, MultiHashProfiler, SingleHashConfig, SingleHashProfiler, Tuple,
-};
+use mhp_core::{IntervalConfig, MultiHashConfig, MultiHashProfiler, SingleHashConfig, Tuple};
 use mhp_stratified::{PeriodicSampler, RandomSampler, StratifiedConfig, StratifiedSampler};
 
 /// Global knobs for an experiment run.
@@ -141,13 +139,14 @@ impl ProfilerKind {
                     .expect("2048 is valid")
                     .with_retaining(retaining)
                     .with_resetting(resetting);
-                let mut p = SingleHashProfiler::new(interval, config, seed)
+                let mut p = MultiHashProfiler::single_hash(interval, config, seed)
                     .expect("valid single-hash profiler");
                 run_comparison(&mut p, events).into_series()
             }
             ProfilerKind::BestSingleHash => {
-                let mut p = SingleHashProfiler::new(interval, SingleHashConfig::best(), seed)
-                    .expect("valid single-hash profiler");
+                let mut p =
+                    MultiHashProfiler::single_hash(interval, SingleHashConfig::best(), seed)
+                        .expect("valid single-hash profiler");
                 run_comparison(&mut p, events).into_series()
             }
             ProfilerKind::MultiHash {

@@ -17,7 +17,7 @@ use std::time::Instant;
 
 use mhp_core::{
     CollectingSink, EventProfiler, IntervalConfig, MultiHashConfig, MultiHashProfiler,
-    PerfectProfiler, SingleHashConfig, SingleHashProfiler, SketchSnapshot, Tuple,
+    PerfectProfiler, SingleHashConfig, SketchSnapshot, Tuple,
 };
 use mhp_pipeline::{EngineConfig, ProfilerSpec, ShardedEngine};
 use mhp_trace::Benchmark;
@@ -180,8 +180,8 @@ pub fn run(opts: &HotpathOptions) -> HotpathReport {
         events,
         opts.samples,
         || {
-            let mut p =
-                SingleHashProfiler::new(interval, single, opts.seed).expect("valid profiler");
+            let mut p = MultiHashProfiler::single_hash(interval, single, opts.seed)
+                .expect("valid profiler");
             let mut intervals = 0u64;
             for &t in &stream {
                 intervals += u64::from(p.observe(t).is_some());
@@ -190,7 +190,8 @@ pub fn run(opts: &HotpathOptions) -> HotpathReport {
         },
     ));
     cases.push(case("single-hash", "batched", events, opts.samples, || {
-        let mut p = SingleHashProfiler::new(interval, single, opts.seed).expect("valid profiler");
+        let mut p =
+            MultiHashProfiler::single_hash(interval, single, opts.seed).expect("valid profiler");
         let mut intervals = 0u64;
         for chunk in stream.chunks(opts.batch.max(1)) {
             intervals += p.observe_batch(chunk).len() as u64;
@@ -410,7 +411,7 @@ pub fn sketch_health(opts: &HotpathOptions) -> Vec<SketchHealth> {
         .expect("valid profiler");
     out.push(health_from("multi-hash", &collect(&mut multi)));
 
-    let mut single = SingleHashProfiler::new(interval, SingleHashConfig::best(), opts.seed)
+    let mut single = MultiHashProfiler::single_hash(interval, SingleHashConfig::best(), opts.seed)
         .expect("valid profiler");
     out.push(health_from("single-hash", &collect(&mut single)));
 

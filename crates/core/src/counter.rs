@@ -1,4 +1,4 @@
-//! Saturating hardware counter arrays.
+//! Saturating hardware counters.
 //!
 //! The paper's hardware budget (§7) uses 3-byte counters: a 2K-entry hash
 //! table costs 6 KB. Counters therefore saturate at `2^24 - 1` instead of
@@ -8,125 +8,6 @@
 
 /// Saturation limit of a 3-byte (24-bit) hardware counter.
 pub const COUNTER_MAX: u32 = (1 << 24) - 1;
-
-/// A fixed-size array of saturating counters modelling one hash table's
-/// counter storage.
-///
-/// # Examples
-///
-/// ```
-/// use mhp_core::CounterArray;
-/// let mut counters = CounterArray::new(8);
-/// assert_eq!(counters.increment(3), 1);
-/// assert_eq!(counters.increment(3), 2);
-/// assert_eq!(counters.get(3), 2);
-/// counters.clear();
-/// assert_eq!(counters.get(3), 0);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CounterArray {
-    counters: Vec<u32>,
-}
-
-impl CounterArray {
-    /// Creates `len` counters, all zero.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `len` is zero.
-    pub fn new(len: usize) -> Self {
-        assert!(len > 0, "a counter array must have at least one counter");
-        CounterArray {
-            counters: vec![0; len],
-        }
-    }
-
-    /// Number of counters.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.counters.len()
-    }
-
-    /// Returns `true` if the array has no counters (never true for a
-    /// constructed array).
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty()
-    }
-
-    /// Current value of counter `idx`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of bounds.
-    #[inline]
-    pub fn get(&self, idx: usize) -> u32 {
-        self.counters[idx]
-    }
-
-    /// Increments counter `idx`, saturating at [`COUNTER_MAX`]; returns the
-    /// new value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of bounds.
-    #[inline]
-    pub fn increment(&mut self, idx: usize) -> u32 {
-        let c = &mut self.counters[idx];
-        if *c < COUNTER_MAX {
-            *c += 1;
-        }
-        *c
-    }
-
-    /// Resets counter `idx` to zero (the paper's *resetting* optimization
-    /// applies this on promotion).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of bounds.
-    #[inline]
-    pub fn reset(&mut self, idx: usize) {
-        self.counters[idx] = 0;
-    }
-
-    /// Zeroes every counter (the end-of-interval hash-table flush).
-    #[inline]
-    pub fn clear(&mut self) {
-        self.counters.fill(0);
-    }
-
-    /// Iterates over the counter values in index order.
-    pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
-        self.counters.iter().copied()
-    }
-
-    /// Number of counters whose value is at least `threshold` — used by the
-    /// theoretical model's empirical validation.
-    pub fn count_at_least(&self, threshold: u32) -> usize {
-        self.counters.iter().filter(|&&c| c >= threshold).count()
-    }
-
-    /// Number of counters holding a non-zero value — the table's occupancy,
-    /// reported by sketch introspection at interval end.
-    pub fn occupied(&self) -> usize {
-        self.counters.iter().filter(|&&c| c > 0).count()
-    }
-
-    /// Bytes of hardware storage this array represents (3 bytes per counter,
-    /// per the paper's area accounting).
-    pub fn storage_bytes(&self) -> usize {
-        self.counters.len() * 3
-    }
-
-    /// Overwrites every counter from a snapshot (the crate-internal restore
-    /// path; callers validate length and saturation bounds first).
-    pub(crate) fn load(&mut self, values: Vec<u32>) {
-        debug_assert_eq!(values.len(), self.counters.len());
-        debug_assert!(values.iter().all(|&v| v <= COUNTER_MAX));
-        self.counters = values;
-    }
-}
 
 /// A bank of `tables × stride` saturating counters in **one contiguous
 /// allocation**, table `t` occupying the half-open range
@@ -305,74 +186,6 @@ impl CounterBlock {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn new_counters_start_at_zero() {
-        let c = CounterArray::new(4);
-        assert_eq!(c.len(), 4);
-        assert!(c.iter().all(|v| v == 0));
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one counter")]
-    fn zero_length_is_rejected() {
-        CounterArray::new(0);
-    }
-
-    #[test]
-    fn increment_returns_new_value() {
-        let mut c = CounterArray::new(2);
-        assert_eq!(c.increment(0), 1);
-        assert_eq!(c.increment(0), 2);
-        assert_eq!(c.get(1), 0, "other counters untouched");
-    }
-
-    #[test]
-    fn counters_saturate_at_24_bits() {
-        let mut c = CounterArray::new(1);
-        c.counters[0] = COUNTER_MAX - 1;
-        assert_eq!(c.increment(0), COUNTER_MAX);
-        assert_eq!(c.increment(0), COUNTER_MAX, "must saturate, not wrap");
-    }
-
-    #[test]
-    fn reset_zeroes_one_counter() {
-        let mut c = CounterArray::new(3);
-        c.increment(1);
-        c.increment(2);
-        c.reset(1);
-        assert_eq!(c.get(1), 0);
-        assert_eq!(c.get(2), 1);
-    }
-
-    #[test]
-    fn clear_zeroes_all_counters() {
-        let mut c = CounterArray::new(3);
-        for i in 0..3 {
-            c.increment(i);
-        }
-        c.clear();
-        assert!(c.iter().all(|v| v == 0));
-    }
-
-    #[test]
-    fn count_at_least_counts_correctly() {
-        let mut c = CounterArray::new(4);
-        c.increment(0);
-        c.increment(1);
-        c.increment(1);
-        assert_eq!(c.count_at_least(1), 2);
-        assert_eq!(c.count_at_least(2), 1);
-        assert_eq!(c.count_at_least(3), 0);
-    }
-
-    #[test]
-    fn storage_matches_paper_budget() {
-        // "the size of the hash table was 6 Kilobytes (2K entries of 3 byte
-        // counters)" — §7.
-        let c = CounterArray::new(2048);
-        assert_eq!(c.storage_bytes(), 6 * 1024);
-    }
 
     #[test]
     fn block_layout_is_contiguous_per_table() {

@@ -376,8 +376,14 @@ impl HashFamily {
         let hashers = (0..num_tables)
             .map(|i| TupleHasher::new(table_size, seed.wrapping_add(0x9E37 * (i as u64 + 1))))
             .collect::<Result<Vec<_>, _>>()?;
+        Ok(HashFamily::from_hashers(hashers))
+    }
+
+    /// A family over hashers seeded by the caller — how the single-hash
+    /// profiler keeps its one table's `TupleHasher::new(entries, seed)`.
+    pub(crate) fn from_hashers(hashers: Vec<TupleHasher>) -> Self {
         let packed = PackedFold::build(&hashers);
-        Ok(HashFamily { hashers, packed })
+        HashFamily { hashers, packed }
     }
 
     /// Number of hash functions in the family.

@@ -15,11 +15,12 @@
 //! enter the accumulator is the job of one or more untagged **hash tables of
 //! counters**:
 //!
-//! * [`SingleHashProfiler`] — one hash table (§5 of the paper), with the
-//!   optional *retaining* and *resetting* optimizations;
 //! * [`MultiHashProfiler`] — the paper's headline contribution (§6): *n*
 //!   independent hash tables; a tuple is promoted only when **all** of its
-//!   counters cross the threshold, optionally with *conservative update*;
+//!   counters cross the threshold, optionally with *conservative update*.
+//!   Its one-table case is the single-hash profiler (§5), built by
+//!   [`MultiHashProfiler::single_hash`] from a [`SingleHashConfig`] with the
+//!   optional *retaining* and *resetting* optimizations;
 //! * [`PerfectProfiler`] — an exact (unbounded) reference profiler used as
 //!   ground truth when measuring error.
 //!
@@ -67,24 +68,22 @@ pub mod perfect;
 pub mod profile;
 pub mod profiler;
 pub mod rank;
-pub mod single_hash;
 pub mod state;
 pub mod theory;
 pub mod tuple;
 
 pub use accumulator::{AccumulatorEntry, AccumulatorTable, InsertOutcome};
 pub use area::AreaModel;
-pub use counter::{CounterArray, CounterBlock, COUNTER_MAX};
+pub use counter::{CounterBlock, COUNTER_MAX};
 pub use error::{ConfigError, MergeError};
 pub use hash::{HashFamily, TupleHasher};
 pub use interval::IntervalConfig;
 pub use introspect::{CollectingSink, IntrospectionSink, SinkHandle, SketchSnapshot};
-pub use multi_hash::{MultiHashConfig, MultiHashProfiler};
+pub use multi_hash::{MultiHashConfig, MultiHashProfiler, SingleHashConfig};
 pub use perfect::{ExactCounts, PerfectProfiler};
 pub use profile::{Candidate, IntervalProfile};
 pub use profiler::EventProfiler;
 pub use rank::top_k_by_count;
-pub use single_hash::{SingleHashConfig, SingleHashProfiler};
 pub use state::{
     put_profile, take_profile, SnapshotError, SnapshotReader, SnapshotWriter, SNAPSHOT_MAGIC,
     SNAPSHOT_VERSION,

@@ -18,18 +18,34 @@
 //!   is promoted. The paper finds this *hurts* multi-hash (it wipes counts
 //!   that aliasing neighbours had legitimately accumulated), so the best
 //!   configuration is `C1 R0` with 4 tables.
+//!
+//! The single-hash profiler of §5 is the n = 1 case, built by
+//! [`MultiHashProfiler::single_hash`] from a [`SingleHashConfig`]. With one
+//! untagged table, distinct tuples that hash to the same counter *alias*:
+//! their combined count can promote a tuple that is not a candidate (a false
+//! positive). Conservative update over one counter is a plain increment, and
+//! the paper's single-hash switches attack the aliasing directly:
+//!
+//! * **shielding** (always on, §5.2) — accumulated tuples stop feeding the
+//!   hash table, lowering pressure;
+//! * **resetting** (`R1`, §5.4.2) — the counter is zeroed when its tuple is
+//!   promoted, so aliasing followers do not inherit a hot counter;
+//! * **retaining** (`P1`, §5.4.1) — last interval's candidates stay resident
+//!   (and shielded) into the next interval.
 
 use std::sync::Arc;
 
 use crate::accumulator::AccumulatorTable;
 use crate::counter::{CounterBlock, COUNTER_MAX};
 use crate::error::ConfigError;
-use crate::hash::HashFamily;
+use crate::hash::{HashFamily, TupleHasher};
 use crate::interval::IntervalConfig;
 use crate::introspect::{IntervalTally, IntrospectionSink, SinkHandle, SketchSnapshot};
 use crate::profile::{Candidate, IntervalProfile};
 use crate::profiler::EventProfiler;
-use crate::state::{self, SnapshotError, SnapshotReader, SnapshotWriter, KIND_MULTI_HASH};
+use crate::state::{
+    self, SnapshotError, SnapshotReader, SnapshotWriter, KIND_MULTI_HASH, KIND_SINGLE_HASH,
+};
 use crate::tuple::Tuple;
 
 /// Configuration of a [`MultiHashProfiler`]: total counter budget, number of
@@ -181,7 +197,127 @@ impl MultiHashConfig {
     }
 }
 
-/// The multi-hash hardware profiler of §6 (Figure 8).
+/// Configuration of a single-hash profiler (§5), built by
+/// [`MultiHashProfiler::single_hash`]: hash-table size and the paper's `P`
+/// (retaining) / `R` (resetting) switches.
+///
+/// # Examples
+///
+/// ```
+/// use mhp_core::SingleHashConfig;
+/// # fn main() -> Result<(), mhp_core::ConfigError> {
+/// // The paper's "best single hash" (BSH): 2K entries, P1 R1.
+/// let best = SingleHashConfig::best();
+/// assert_eq!(best.entries(), 2048);
+/// assert!(best.retaining() && best.resetting());
+///
+/// // The plain P0 R0 baseline:
+/// let plain = SingleHashConfig::new(2048)?;
+/// assert!(!plain.retaining() && !plain.resetting());
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SingleHashConfig {
+    entries: usize,
+    resetting: bool,
+    retaining: bool,
+    shielding: bool,
+}
+
+impl SingleHashConfig {
+    /// Creates a configuration with a hash table of `entries` counters and
+    /// both optimizations off (the paper's `P0 R0`).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ConfigError::EntriesNotPowerOfTwo`] if `entries` is not a
+    /// power of two of at least 2.
+    pub fn new(entries: usize) -> Result<Self, ConfigError> {
+        if entries < 2 || !entries.is_power_of_two() {
+            return Err(ConfigError::EntriesNotPowerOfTwo(entries));
+        }
+        Ok(SingleHashConfig {
+            entries,
+            resetting: false,
+            retaining: false,
+            shielding: true,
+        })
+    }
+
+    /// The paper's best single-hash configuration (`BSH`): 2K entries with
+    /// retaining and resetting enabled (`P1 R1`).
+    pub fn best() -> Self {
+        SingleHashConfig::new(2048)
+            .expect("2048 is a power of two")
+            .with_resetting(true)
+            .with_retaining(true)
+    }
+
+    /// Enables or disables the resetting optimization (`R`).
+    pub fn with_resetting(mut self, resetting: bool) -> Self {
+        self.resetting = resetting;
+        self
+    }
+
+    /// Enables or disables the retaining optimization (`P`).
+    pub fn with_retaining(mut self, retaining: bool) -> Self {
+        self.retaining = retaining;
+        self
+    }
+
+    /// Enables or disables shielding (§5.2). The paper's designs always
+    /// shield; turning it off exists for ablation studies only — resident
+    /// tuples then keep hammering the hash table.
+    pub fn with_shielding(mut self, shielding: bool) -> Self {
+        self.shielding = shielding;
+        self
+    }
+
+    /// Number of hash-table counters.
+    #[inline]
+    pub fn entries(&self) -> usize {
+        self.entries
+    }
+
+    /// Whether resetting (`R1`) is enabled.
+    #[inline]
+    pub fn resetting(&self) -> bool {
+        self.resetting
+    }
+
+    /// Whether retaining (`P1`) is enabled.
+    #[inline]
+    pub fn retaining(&self) -> bool {
+        self.retaining
+    }
+
+    /// Whether shielding is enabled (always on in the paper's designs).
+    #[inline]
+    pub fn shielding(&self) -> bool {
+        self.shielding
+    }
+
+    /// A compact label in the paper's notation, e.g. `"P1, R0"`.
+    pub fn label(&self) -> String {
+        format!(
+            "P{}, R{}",
+            u8::from(self.retaining),
+            u8::from(self.resetting)
+        )
+    }
+}
+
+/// One snapshot configuration-fingerprint field: its live value, the label
+/// a truncation error names, and the context a mismatch reports.
+enum Field {
+    Size(u64, &'static str, &'static str),
+    Flag(bool, &'static str, &'static str),
+}
+
+/// The multi-hash hardware profiler of §6 (Figure 8); with one table, built
+/// by [`single_hash`](Self::single_hash), the single-hash profiler of §5
+/// (Figure 2).
 ///
 /// # Examples
 ///
@@ -219,6 +355,9 @@ pub struct MultiHashProfiler {
     /// The hash-family seed, kept for the snapshot configuration
     /// fingerprint (the family itself is fully derived from it).
     seed: u64,
+    /// Built by [`single_hash`](Self::single_hash): snapshots carry the
+    /// single-hash kind and fingerprint.
+    single_hash: bool,
     events: u64,
     interval_idx: u64,
     /// Scratch buffer holding the current tuple's *flat* block indices
@@ -248,6 +387,60 @@ impl MultiHashProfiler {
         seed: u64,
     ) -> Result<Self, ConfigError> {
         let family = HashFamily::new(config.num_tables(), config.table_entries(), seed)?;
+        Self::with_family(interval, config, family, seed, false)
+    }
+
+    /// Builds the single-hash profiler of §5 (Figure 2): one table of
+    /// `config.entries()` counters with plain update, hashed by
+    /// `TupleHasher::new(entries, seed)`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates configuration errors from the hasher and accumulator
+    /// construction.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use mhp_core::{EventProfiler, IntervalConfig, MultiHashProfiler, SingleHashConfig, Tuple};
+    /// # fn main() -> Result<(), mhp_core::ConfigError> {
+    /// let interval = IntervalConfig::new(1_000, 0.01)?;
+    /// let mut profiler =
+    ///     MultiHashProfiler::single_hash(interval, SingleHashConfig::best(), 42)?;
+    /// assert_eq!(profiler.config().num_tables(), 1);
+    /// let hot = Tuple::new(0x400100, 3);
+    /// let mut last = None;
+    /// for i in 0..1_000u64 {
+    ///     let t = if i % 10 == 0 { hot } else { Tuple::new(i, i) };
+    ///     if let Some(p) = profiler.observe(t) {
+    ///         last = Some(p);
+    ///     }
+    /// }
+    /// assert!(last.expect("one full interval").contains(hot));
+    /// # Ok(())
+    /// # }
+    /// ```
+    pub fn single_hash(
+        interval: IntervalConfig,
+        config: SingleHashConfig,
+        seed: u64,
+    ) -> Result<Self, ConfigError> {
+        let sketch = MultiHashConfig::new(config.entries(), 1)?
+            .with_conservative_update(false)
+            .with_resetting(config.resetting())
+            .with_retaining(config.retaining())
+            .with_shielding(config.shielding());
+        let family = HashFamily::from_hashers(vec![TupleHasher::new(config.entries(), seed)?]);
+        Self::with_family(interval, sketch, family, seed, true)
+    }
+
+    fn with_family(
+        interval: IntervalConfig,
+        config: MultiHashConfig,
+        family: HashFamily,
+        seed: u64,
+        single_hash: bool,
+    ) -> Result<Self, ConfigError> {
         let block = CounterBlock::new(config.num_tables(), config.table_entries());
         let accumulator = AccumulatorTable::new(interval.accumulator_capacity())?;
         Ok(MultiHashProfiler {
@@ -258,6 +451,7 @@ impl MultiHashProfiler {
             accumulator,
             threshold: interval.threshold_count(),
             seed,
+            single_hash,
             events: 0,
             interval_idx: 0,
             scratch: vec![0; config.num_tables()],
@@ -356,6 +550,43 @@ impl MultiHashProfiler {
         self.interval_idx += 1;
         self.events = 0;
         profile
+    }
+
+    /// The snapshot kind and configuration fingerprint. A profiler built by
+    /// [`single_hash`](Self::single_hash) keeps the §5 layout: entries, `R`,
+    /// `P`, shielding, seed.
+    fn fingerprint(&self) -> (u8, Vec<Field>) {
+        let c = &self.config;
+        let (kind, mut fields) = if self.single_hash {
+            let entries = Field::Size(
+                c.total_entries() as u64,
+                "table entries",
+                "hash-table entries",
+            );
+            (KIND_SINGLE_HASH, vec![entries])
+        } else {
+            let fields = vec![
+                Field::Size(
+                    c.total_entries() as u64,
+                    "total entries",
+                    "total counter entries",
+                ),
+                Field::Size(c.num_tables() as u64, "table count", "number of tables"),
+                Field::Flag(
+                    c.conservative_update(),
+                    "conservative flag",
+                    "conservative update",
+                ),
+            ];
+            (KIND_MULTI_HASH, fields)
+        };
+        fields.extend([
+            Field::Flag(c.resetting(), "resetting flag", "resetting"),
+            Field::Flag(c.retaining(), "retaining flag", "retaining"),
+            Field::Flag(c.shielding(), "shielding flag", "shielding"),
+            Field::Size(self.seed, "hash seed", "hash seed"),
+        ]);
+        (kind, fields)
     }
 
     /// Writes the tuple's *flat* block indices into `scratch`.
@@ -566,59 +797,38 @@ impl EventProfiler for MultiHashProfiler {
     }
 
     fn save_state(&self) -> Result<Vec<u8>, SnapshotError> {
-        let mut w = SnapshotWriter::new(KIND_MULTI_HASH);
-        // Configuration fingerprint.
-        w.put_u64(self.config.total_entries() as u64);
-        w.put_u64(self.config.num_tables() as u64);
-        w.put_bool(self.config.conservative_update());
-        w.put_bool(self.config.resetting());
-        w.put_bool(self.config.retaining());
-        w.put_bool(self.config.shielding());
-        w.put_u64(self.seed);
+        let (kind, fingerprint) = self.fingerprint();
+        let mut w = SnapshotWriter::new(kind);
+        for field in fingerprint {
+            match field {
+                Field::Size(value, ..) => w.put_u64(value),
+                Field::Flag(value, ..) => w.put_bool(value),
+            }
+        }
         state::put_interval(&mut w, &self.interval);
         // Dynamic state.
         w.put_u64(self.events);
         w.put_u64(self.interval_idx);
         state::put_tally(&mut w, &self.tally);
-        state::put_counters(&mut w, self.block.len(), self.block.iter());
+        state::put_counters(&mut w, &self.block);
         state::put_accumulator(&mut w, &self.accumulator);
         Ok(w.finish())
     }
 
     fn restore_state(&mut self, snapshot: &[u8]) -> Result<(), SnapshotError> {
-        let mut r = SnapshotReader::open(snapshot, KIND_MULTI_HASH)?;
-        if r.take_u64("total entries")? != self.config.total_entries() as u64 {
-            return Err(SnapshotError::ConfigMismatch {
-                context: "total counter entries",
-            });
-        }
-        if r.take_u64("table count")? != self.config.num_tables() as u64 {
-            return Err(SnapshotError::ConfigMismatch {
-                context: "number of tables",
-            });
-        }
-        for (flag, live, context) in [
-            (
-                "conservative flag",
-                self.config.conservative_update(),
-                "conservative update",
-            ),
-            ("resetting flag", self.config.resetting(), "resetting"),
-            ("retaining flag", self.config.retaining(), "retaining"),
-            ("shielding flag", self.config.shielding(), "shielding"),
-        ] {
-            if r.take_bool(flag)? != live {
+        let (kind, fingerprint) = self.fingerprint();
+        let mut r = SnapshotReader::open(snapshot, kind)?;
+        for field in fingerprint {
+            let (matches, context) = match field {
+                Field::Size(live, label, context) => (r.take_u64(label)? == live, context),
+                Field::Flag(live, label, context) => (r.take_bool(label)? == live, context),
+            };
+            if !matches {
                 return Err(SnapshotError::ConfigMismatch { context });
             }
         }
-        if r.take_u64("hash seed")? != self.seed {
-            return Err(SnapshotError::ConfigMismatch {
-                context: "hash seed",
-            });
-        }
         state::check_interval(&mut r, &self.interval)?;
-        let events = r.take_u64("event count")?;
-        let interval_idx = r.take_u64("interval index")?;
+        let (events, interval_idx) = state::take_position(&mut r, &self.interval)?;
         let tally = state::take_tally(&mut r)?;
         let counters = state::take_counters(&mut r, self.block.len())?;
         let entries = state::take_accumulator(&mut r, self.accumulator.capacity())?;
@@ -1010,6 +1220,314 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// The single-hash profiler of §5: a one-table sketch with plain update.
+    mod single_hash {
+        use super::*;
+
+        fn interval(len: u64, frac: f64) -> IntervalConfig {
+            IntervalConfig::new(len, frac).unwrap()
+        }
+
+        fn profiler(len: u64, frac: f64, cfg: SingleHashConfig) -> MultiHashProfiler {
+            MultiHashProfiler::single_hash(interval(len, frac), cfg, 7).unwrap()
+        }
+
+        /// The tuple's counter in the one table.
+        fn slot(p: &MultiHashProfiler, tuple: Tuple) -> usize {
+            p.hash_family().hashers()[0].index(tuple)
+        }
+
+        /// Finds two distinct tuples that alias to the same hash bucket.
+        fn aliasing_pair(p: &MultiHashProfiler) -> (Tuple, Tuple) {
+            let a = Tuple::new(0x1000, 1);
+            let target = slot(p, a);
+            for i in 0..100_000u64 {
+                let b = Tuple::new(0x2000 + i * 8, i);
+                if b != a && slot(p, b) == target {
+                    return (a, b);
+                }
+            }
+            panic!("no aliasing pair found");
+        }
+
+        #[test]
+        fn config_rejects_bad_sizes() {
+            assert!(SingleHashConfig::new(0).is_err());
+            assert!(SingleHashConfig::new(1000).is_err());
+            assert!(SingleHashConfig::new(1024).is_ok());
+        }
+
+        #[test]
+        fn config_label_uses_paper_notation() {
+            assert_eq!(SingleHashConfig::best().label(), "P1, R1");
+            assert_eq!(SingleHashConfig::new(2048).unwrap().label(), "P0, R0");
+        }
+
+        #[test]
+        fn builds_one_plain_update_table_seeded_like_a_lone_hasher() {
+            let cfg = SingleHashConfig::best().with_shielding(false);
+            let p = profiler(1_000, 0.01, cfg);
+            let sketch = p.config();
+            assert_eq!(
+                (sketch.num_tables(), sketch.total_entries()),
+                (1, cfg.entries())
+            );
+            assert!(!sketch.conservative_update());
+            assert!(sketch.resetting() && sketch.retaining() && !sketch.shielding());
+            // Not `HashFamily::new(1, ..)`, which would offset the seed.
+            let lone = TupleHasher::new(cfg.entries(), 7).unwrap();
+            let mut flat = [0usize];
+            for i in 0..1_000u64 {
+                let t = Tuple::new(0x40_0000 + i * 8, i % 13);
+                p.hash_family().indices_into(t, &mut flat);
+                assert_eq!(flat[0], lone.index(t));
+            }
+        }
+
+        #[test]
+        fn hot_tuple_is_captured() {
+            let mut p = profiler(1_000, 0.01, SingleHashConfig::new(2048).unwrap());
+            let hot = Tuple::new(0x400100, 7);
+            let mut profiles = Vec::new();
+            for i in 0..1_000u64 {
+                let t = if i % 5 == 0 {
+                    hot
+                } else {
+                    Tuple::new(0x500000 + i, i)
+                };
+                if let Some(pr) = p.observe(t) {
+                    profiles.push(pr);
+                }
+            }
+            assert_eq!(profiles.len(), 1);
+            // 200 occurrences, threshold 10: captured, with f_h >= threshold.
+            let count = profiles[0].count_of(hot).expect("hot tuple captured");
+            assert!(count >= 10);
+            assert!(count <= 200 + 10, "count {count} wildly inflated");
+        }
+
+        #[test]
+        fn cold_stream_produces_no_candidates() {
+            let mut p = profiler(1_000, 0.05, SingleHashConfig::new(4096).unwrap());
+            let mut profiles = Vec::new();
+            for i in 0..1_000u64 {
+                // Every tuple unique: none can reach 5% = 50 occurrences, and
+                // with a 4K table aliasing to 50 is implausible.
+                if let Some(pr) = p.observe(Tuple::new(i * 8, i)) {
+                    profiles.push(pr);
+                }
+            }
+            assert_eq!(profiles.len(), 1);
+            assert!(profiles[0].is_empty());
+        }
+
+        #[test]
+        fn promotion_initializes_count_at_threshold() {
+            let mut p = profiler(100, 0.1, SingleHashConfig::new(2048).unwrap());
+            let hot = Tuple::new(1, 1);
+            // Exactly 10 occurrences (= threshold), then 90 unique fillers.
+            for _ in 0..10 {
+                p.observe(hot);
+            }
+            assert_eq!(p.accumulator().count_of(hot), Some(10));
+        }
+
+        #[test]
+        fn shielding_stops_hash_updates_after_promotion() {
+            let mut p = profiler(1_000, 0.01, SingleHashConfig::new(2048).unwrap());
+            let hot = Tuple::new(1, 1);
+            for _ in 0..10 {
+                p.observe(hot);
+            }
+            let idx = slot(&p, hot);
+            let counter_at_promotion = p.counters().get(idx);
+            for _ in 0..50 {
+                p.observe(hot);
+            }
+            assert_eq!(
+                p.counters().get(idx),
+                counter_at_promotion,
+                "shielded tuple must not touch the hash table"
+            );
+            assert_eq!(p.accumulator().count_of(hot), Some(60));
+        }
+
+        #[test]
+        fn resetting_clears_the_promoted_counter() {
+            let mut p = profiler(
+                1_000,
+                0.01,
+                SingleHashConfig::new(2048).unwrap().with_resetting(true),
+            );
+            let hot = Tuple::new(1, 1);
+            for _ in 0..10 {
+                p.observe(hot);
+            }
+            let idx = slot(&p, hot);
+            assert_eq!(
+                p.counters().get(idx),
+                0,
+                "R1 must zero the counter on promotion"
+            );
+        }
+
+        #[test]
+        fn without_resetting_alias_rides_the_hot_counter() {
+            // R0: after tuple A saturates a counter past the threshold, a
+            // single occurrence of aliasing tuple B promotes B — the
+            // false-positive mechanism the paper describes.
+            let cfg = SingleHashConfig::new(2048).unwrap();
+            let mut p = profiler(10_000, 0.001, cfg);
+            let (a, b) = aliasing_pair(&p);
+            for _ in 0..10 {
+                p.observe(a); // threshold is 10; A promoted, counter stays at 10
+            }
+            p.observe(b);
+            assert!(
+                p.accumulator().contains(b),
+                "alias must be falsely promoted under R0"
+            );
+        }
+
+        #[test]
+        fn with_resetting_alias_must_earn_promotion() {
+            let cfg = SingleHashConfig::new(2048).unwrap().with_resetting(true);
+            let mut p = profiler(10_000, 0.001, cfg);
+            let (a, b) = aliasing_pair(&p);
+            for _ in 0..10 {
+                p.observe(a);
+            }
+            p.observe(b);
+            assert!(
+                !p.accumulator().contains(b),
+                "R1 zeroed the counter, so one occurrence of the alias cannot promote"
+            );
+        }
+
+        #[test]
+        fn disabling_shielding_keeps_hash_counters_growing() {
+            let cfg = SingleHashConfig::new(2048).unwrap().with_shielding(false);
+            let mut p = profiler(1_000, 0.01, cfg);
+            let hot = Tuple::new(1, 1);
+            for _ in 0..10 {
+                p.observe(hot);
+            }
+            let idx = slot(&p, hot);
+            let at_promotion = p.counters().get(idx);
+            for _ in 0..50 {
+                p.observe(hot);
+            }
+            assert_eq!(
+                p.counters().get(idx),
+                at_promotion + 50,
+                "without shielding, resident tuples keep updating the table"
+            );
+            // The accumulator count stays exact regardless.
+            assert_eq!(p.accumulator().count_of(hot), Some(60));
+        }
+
+        #[test]
+        fn retaining_keeps_candidates_across_intervals() {
+            let cfg = SingleHashConfig::new(2048).unwrap().with_retaining(true);
+            let mut p = profiler(100, 0.1, cfg);
+            let hot = Tuple::new(1, 1);
+            let mut profiles = Vec::new();
+            for i in 0..200u64 {
+                let t = if i % 2 == 0 {
+                    hot
+                } else {
+                    Tuple::new(100 + i, i)
+                };
+                if let Some(pr) = p.observe(t) {
+                    profiles.push(pr);
+                }
+            }
+            assert_eq!(profiles.len(), 2);
+            // Second interval: hot was retained, so its count is exact (50),
+            // not threshold-initialized.
+            assert_eq!(profiles[1].count_of(hot), Some(50));
+        }
+
+        #[test]
+        fn without_retaining_accumulator_starts_interval_empty() {
+            let cfg = SingleHashConfig::new(2048).unwrap();
+            let mut p = profiler(100, 0.1, cfg);
+            let hot = Tuple::new(1, 1);
+            for _ in 0..100 {
+                p.observe(hot);
+            }
+            assert!(p.accumulator().is_empty(), "P0 flushes at interval end");
+        }
+
+        #[test]
+        fn interval_profile_counts_are_at_least_threshold() {
+            let mut p = profiler(1_000, 0.01, SingleHashConfig::best());
+            let mut profile = None;
+            for i in 0..1_000u64 {
+                let t = Tuple::new(i % 17, 0); // several hot tuples
+                if let Some(pr) = p.observe(t) {
+                    profile = Some(pr);
+                }
+            }
+            let profile = profile.unwrap();
+            assert!(!profile.is_empty());
+            for c in profile.candidates() {
+                assert!(c.count >= 10);
+            }
+        }
+
+        #[test]
+        fn reset_restores_fresh_state() {
+            let mut p = profiler(1_000, 0.01, SingleHashConfig::best());
+            for i in 0..500u64 {
+                p.observe(Tuple::new(i % 3, 0));
+            }
+            p.reset();
+            assert_eq!(p.events_in_current_interval(), 0);
+            assert_eq!(p.interval_index(), 0);
+            assert!(p.accumulator().is_empty());
+            assert!(p.counters().iter().all(|c| c == 0));
+        }
+
+        #[test]
+        fn observe_batch_matches_per_event_for_every_corner() {
+            let stream: Vec<Tuple> = (0..3_000u64).map(|i| Tuple::new(i % 37, i % 5)).collect();
+            for resetting in [false, true] {
+                for shielding in [false, true] {
+                    let cfg = SingleHashConfig::new(256)
+                        .unwrap()
+                        .with_resetting(resetting)
+                        .with_shielding(shielding);
+                    let mut a = profiler(500, 0.05, cfg);
+                    let mut b = a.clone();
+                    let expected: Vec<IntervalProfile> =
+                        stream.iter().filter_map(|&t| a.observe(t)).collect();
+                    let mut got = Vec::new();
+                    for chunk in stream.chunks(257) {
+                        got.extend(b.observe_batch(chunk));
+                    }
+                    assert_eq!(got, expected, "R{resetting} S{shielding}");
+                    assert_eq!(a.counters(), b.counters());
+                    assert_eq!(
+                        a.accumulator().top_k(usize::MAX),
+                        b.accumulator().top_k(usize::MAX)
+                    );
+                    assert_eq!(
+                        a.events_in_current_interval(),
+                        b.events_in_current_interval()
+                    );
+                }
+            }
+        }
+
+        #[test]
+        fn storage_bytes_match_paper_for_best_config() {
+            // 2K entries * 3 B = 6 KB hash table, 100-entry accumulator = 1 KB.
+            let p = profiler(10_000, 0.01, SingleHashConfig::best());
+            assert_eq!(p.storage_bytes(), 6 * 1024 + 1_000);
         }
     }
 }

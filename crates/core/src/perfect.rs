@@ -208,8 +208,7 @@ impl EventProfiler for PerfectProfiler {
     fn restore_state(&mut self, snapshot: &[u8]) -> Result<(), SnapshotError> {
         let mut r = SnapshotReader::open(snapshot, KIND_PERFECT)?;
         state::check_interval(&mut r, &self.interval)?;
-        let events = r.take_u64("event count")?;
-        let interval_idx = r.take_u64("interval index")?;
+        let (events, interval_idx) = state::take_position(&mut r, &self.interval)?;
         let count = r.take_count(24, "count entries")?;
         let mut counts = HashMap::with_capacity(count);
         let mut last: Option<Tuple> = None;

@@ -11,8 +11,8 @@ use crate::tuple::Tuple;
 /// An interval-based profiler that consumes a stream of tuples and emits an
 /// [`IntervalProfile`] each time a profile interval completes.
 ///
-/// Implemented by [`SingleHashProfiler`](crate::SingleHashProfiler),
-/// [`MultiHashProfiler`](crate::MultiHashProfiler),
+/// Implemented by [`MultiHashProfiler`](crate::MultiHashProfiler) (which
+/// also models the single-hash profiler, as its one-table case),
 /// [`PerfectProfiler`](crate::PerfectProfiler) and the stratified-sampler
 /// baseline in `mhp-stratified`.
 ///

@@ -37,7 +37,9 @@ pub const SNAPSHOT_VERSION: u16 = 1;
 /// Envelope overhead: magic + version + kind in front, CRC-32 behind.
 pub const SNAPSHOT_OVERHEAD: usize = 8 + 2 + 1 + 4;
 
-/// Kind byte of a [`SingleHashProfiler`](crate::SingleHashProfiler) snapshot.
+/// Kind byte of a single-hash profiler snapshot (a
+/// [`MultiHashProfiler`](crate::MultiHashProfiler) built by
+/// [`single_hash`](crate::MultiHashProfiler::single_hash)).
 pub const KIND_SINGLE_HASH: u8 = 1;
 /// Kind byte of a [`MultiHashProfiler`](crate::MultiHashProfiler) snapshot.
 pub const KIND_MULTI_HASH: u8 = 2;
@@ -392,7 +394,7 @@ impl<'a> SnapshotReader<'a> {
 // ---------------------------------------------------------------------------
 
 use crate::accumulator::AccumulatorTable;
-use crate::counter::COUNTER_MAX;
+use crate::counter::{CounterBlock, COUNTER_MAX};
 use crate::interval::IntervalConfig;
 use crate::introspect::IntervalTally;
 use crate::profile::{Candidate, IntervalProfile};
@@ -485,9 +487,27 @@ pub(crate) fn check_interval(
     Ok(())
 }
 
-pub(crate) fn put_counters(w: &mut SnapshotWriter, len: usize, values: impl Iterator<Item = u32>) {
-    w.put_u64(len as u64);
-    for v in values {
+/// Reads a profiler's stream position: events in the current interval, then
+/// the interval index. A profiler that cuts its own intervals ends one the
+/// moment its count reaches the interval length, so a count at or past it
+/// could never reach a boundary again and is refused.
+pub(crate) fn take_position(
+    r: &mut SnapshotReader<'_>,
+    interval: &IntervalConfig,
+) -> Result<(u64, u64), SnapshotError> {
+    let events = r.take_u64("event count")?;
+    let interval_idx = r.take_u64("interval index")?;
+    if !interval.external_cut() && events >= interval.interval_len() {
+        return Err(SnapshotError::Corrupt {
+            context: "event count at or past the interval length",
+        });
+    }
+    Ok((events, interval_idx))
+}
+
+pub(crate) fn put_counters(w: &mut SnapshotWriter, counters: &CounterBlock) {
+    w.put_u64(counters.len() as u64);
+    for v in counters.iter() {
         w.put_u32(v);
     }
 }

@@ -19,7 +19,7 @@ use std::sync::Arc;
 
 use mhp_core::{
     CollectingSink, EventProfiler, IntervalConfig, MultiHashConfig, MultiHashProfiler,
-    SingleHashConfig, SingleHashProfiler, SketchSnapshot, Tuple,
+    SingleHashConfig, SketchSnapshot, Tuple,
 };
 use proptest::prelude::*;
 
@@ -126,7 +126,7 @@ proptest! {
             .with_shielding(shielding)
             .with_retaining(retaining)
             .with_resetting(resetting);
-        let mut profiler = SingleHashProfiler::new(interval, config, seed).unwrap();
+        let mut profiler = MultiHashProfiler::single_hash(interval, config, seed).unwrap();
         let snapshots = run_collecting(&mut profiler, &events);
         prop_assert!(!snapshots.is_empty());
         check_invariants(&snapshots);

@@ -8,7 +8,7 @@
 use mhp_core::state::{crc32, SNAPSHOT_MAGIC};
 use mhp_core::{
     Candidate, EventProfiler, IntervalConfig, IntervalProfile, MultiHashConfig, MultiHashProfiler,
-    PerfectProfiler, SingleHashConfig, SingleHashProfiler, SnapshotError, Tuple,
+    PerfectProfiler, SingleHashConfig, SnapshotError, Tuple,
 };
 use proptest::prelude::*;
 
@@ -20,7 +20,9 @@ const SEED: u64 = 0xFEED_FACE;
 fn build(spec: u8) -> Box<dyn EventProfiler> {
     let interval = IntervalConfig::new(50, 0.1).unwrap();
     match spec % 3 {
-        0 => Box::new(SingleHashProfiler::new(interval, SingleHashConfig::best(), SEED).unwrap()),
+        0 => Box::new(
+            MultiHashProfiler::single_hash(interval, SingleHashConfig::best(), SEED).unwrap(),
+        ),
         1 => Box::new(
             MultiHashProfiler::new(interval, MultiHashConfig::new(64, 4).unwrap(), SEED).unwrap(),
         ),
@@ -149,33 +151,69 @@ const PINNED_MULTI_HASH_CHECKPOINT: &str = "\
     000000000000020000000000000001100040000000000000000000000000000300000000\
     00000001a3ff6801";
 
-fn pinned_run() -> MultiHashProfiler {
+/// A single-hash checkpoint of the same run (`SingleHashConfig::new(16)`,
+/// P1 R1) as an earlier build wrote it. The run crosses one interval cut, so
+/// the retained candidates are in it too.
+const PINNED_SINGLE_HASH_CHECKPOINT: &str = "\
+    4d4850534e41500a0100011000000000000000010101cefaedfe00000000320000000000\
+    00009a9999999999b93f00210000000000000001000000000000000d0000000000000001\
+    000000000000000000000000000000000000000000000000000000000000001000000000\
+    000000000000000000000000000000000000000200000002000000000000000000000003\
+    000000020000000200000002000000000000000200000000000000000000000700000000\
+    000000000040000000000000000000000000000200000000000000010000400000000000\
+    010000000000000003000000000000000100004000000000000300000000000000020000\
+    000000000001000040000000000004000000000000000200000000000000010800400000\
+    000000040000000000000002000000000000000110004000000000000000000000000000\
+    0500000000000000001000400000000000020000000000000002000000000000000189a5\
+    edd5";
+
+fn pinned_multi_hash() -> MultiHashProfiler {
     let interval = IntervalConfig::new(50, 0.1).unwrap();
-    let mut p =
-        MultiHashProfiler::new(interval, MultiHashConfig::new(16, 2).unwrap(), SEED).unwrap();
+    MultiHashProfiler::new(interval, MultiHashConfig::new(16, 2).unwrap(), SEED).unwrap()
+}
+
+fn pinned_single_hash() -> MultiHashProfiler {
+    let interval = IntervalConfig::new(50, 0.1).unwrap();
+    let config = SingleHashConfig::new(16)
+        .unwrap()
+        .with_retaining(true)
+        .with_resetting(true);
+    MultiHashProfiler::single_hash(interval, config, SEED).unwrap()
+}
+
+/// Checks that a fresh profiler run over the pinned 83 events writes
+/// exactly `hex`, and that `hex` restores and re-snapshots to itself.
+fn assert_pinned(hex: &str, len: usize, fresh: fn() -> MultiHashProfiler) {
+    let pinned: Vec<u8> = (0..hex.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+        .collect();
+    assert_eq!(pinned.len(), len);
+
+    let mut live = fresh();
     for i in 0..83u64 {
-        p.observe(Tuple::new(0x40_0000 + 8 * (i % 3), i % 5));
+        live.observe(Tuple::new(0x40_0000 + 8 * (i % 3), i % 5));
     }
-    p
+    assert_eq!(
+        (live.interval_index(), live.events_in_current_interval()),
+        (1, 33)
+    );
+    assert_eq!(live.save_state().unwrap(), pinned);
+
+    let mut restored = fresh();
+    restored.restore_state(&pinned).unwrap();
+    assert_eq!(restored.save_state().unwrap(), pinned);
+    assert_eq!(restored.hot_tuples(8), live.hot_tuples(8));
 }
 
 #[test]
 fn pinned_checkpoint_validates_and_is_rewritten_identically() {
-    let pinned: Vec<u8> = (0..PINNED_MULTI_HASH_CHECKPOINT.len())
-        .step_by(2)
-        .map(|i| u8::from_str_radix(&PINNED_MULTI_HASH_CHECKPOINT[i..i + 2], 16).unwrap())
-        .collect();
-    assert_eq!(pinned.len(), 296);
+    assert_pinned(PINNED_MULTI_HASH_CHECKPOINT, 296, pinned_multi_hash);
+}
 
-    let live = pinned_run();
-    assert_eq!(live.save_state().unwrap(), pinned);
-
-    let interval = IntervalConfig::new(50, 0.1).unwrap();
-    let mut restored =
-        MultiHashProfiler::new(interval, MultiHashConfig::new(16, 2).unwrap(), SEED).unwrap();
-    restored.restore_state(&pinned).unwrap();
-    assert_eq!(restored.save_state().unwrap(), pinned);
-    assert_eq!(restored.hot_tuples(8), live.hot_tuples(8));
+#[test]
+fn pinned_single_hash_checkpoint_validates_and_is_rewritten_identically() {
+    assert_pinned(PINNED_SINGLE_HASH_CHECKPOINT, 362, pinned_single_hash);
 }
 
 /// Builds a mid-stream snapshot with non-trivial counter and accumulator
@@ -239,6 +277,42 @@ fn reseal(mut bytes: Vec<u8>) -> Vec<u8> {
 }
 
 #[test]
+fn event_count_at_or_past_the_interval_length_is_rejected() {
+    // The event count follows the interval fingerprint: 50 events, a 0.1
+    // threshold, cut internally.
+    let mut fingerprint = 50u64.to_le_bytes().to_vec();
+    fingerprint.extend(0.1f64.to_le_bytes());
+    fingerprint.push(0);
+    for spec in 0..3u8 {
+        let (mut p, snap) = busy_snapshot(spec);
+        let at = snap
+            .windows(fingerprint.len())
+            .position(|w| w == fingerprint)
+            .expect("interval fingerprint")
+            + fingerprint.len();
+        assert_eq!(snap[at..at + 8], 37u64.to_le_bytes(), "spec {spec}");
+        let with_events = |events: u64| {
+            let mut bytes = snap.clone();
+            bytes[at..at + 8].copy_from_slice(&events.to_le_bytes());
+            reseal(bytes)
+        };
+        let before = p.hot_tuples(16);
+        // At 50 the interval would already have been cut; past it, the
+        // count never meets the boundary again.
+        for events in [50, 51, u64::MAX] {
+            let err = p.restore_state(&with_events(events)).unwrap_err();
+            assert!(
+                matches!(err, SnapshotError::Corrupt { .. }),
+                "spec {spec} events {events}: got {err}"
+            );
+        }
+        assert_eq!(p.hot_tuples(16), before, "failed restore must not mutate");
+        p.restore_state(&with_events(49)).unwrap();
+        assert_eq!(p.events_in_current_interval(), 49);
+    }
+}
+
+#[test]
 fn version_bump_is_rejected() {
     let (mut p, snap) = busy_snapshot(0);
     let mut bad = snap;
@@ -266,7 +340,7 @@ fn config_mismatches_are_rejected() {
 
     // Different seed, same geometry.
     let mut other_seed =
-        SingleHashProfiler::new(interval, SingleHashConfig::best(), SEED ^ 1).unwrap();
+        MultiHashProfiler::single_hash(interval, SingleHashConfig::best(), SEED ^ 1).unwrap();
     assert_eq!(
         other_seed.restore_state(&snap).unwrap_err(),
         SnapshotError::ConfigMismatch {
@@ -275,7 +349,7 @@ fn config_mismatches_are_rejected() {
     );
 
     // Different table size.
-    let mut other_size = SingleHashProfiler::new(
+    let mut other_size = MultiHashProfiler::single_hash(
         interval,
         SingleHashConfig::new(4096)
             .unwrap()
@@ -290,7 +364,7 @@ fn config_mismatches_are_rejected() {
     ));
 
     // Different interval length.
-    let mut other_interval = SingleHashProfiler::new(
+    let mut other_interval = MultiHashProfiler::single_hash(
         IntervalConfig::new(60, 0.1).unwrap(),
         SingleHashConfig::best(),
         SEED,
@@ -305,7 +379,8 @@ fn config_mismatches_are_rejected() {
 
     // Different option flags.
     let mut other_flags =
-        SingleHashProfiler::new(interval, SingleHashConfig::new(2048).unwrap(), SEED).unwrap();
+        MultiHashProfiler::single_hash(interval, SingleHashConfig::new(2048).unwrap(), SEED)
+            .unwrap();
     assert!(matches!(
         other_flags.restore_state(&snap).unwrap_err(),
         SnapshotError::ConfigMismatch { .. }

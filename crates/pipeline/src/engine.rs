@@ -52,8 +52,8 @@ use std::time::{Duration, Instant};
 use mhp_core::state::KIND_ENGINE_SESSION;
 use mhp_core::{
     Candidate, ConfigError, EventProfiler, IntervalConfig, IntervalProfile, IntrospectionSink,
-    MultiHashConfig, MultiHashProfiler, PerfectProfiler, SingleHashConfig, SingleHashProfiler,
-    SnapshotError, SnapshotReader, SnapshotWriter, Tuple,
+    MultiHashConfig, MultiHashProfiler, PerfectProfiler, SingleHashConfig, SnapshotError,
+    SnapshotReader, SnapshotWriter, Tuple,
 };
 use mhp_faults::{FaultHook, WorkerAction};
 use mhp_telemetry::Gauge;
@@ -99,7 +99,7 @@ impl ProfilerSpec {
                 Box::new(MultiHashProfiler::new(interval, *config, seed)?)
             }
             ProfilerSpec::SingleHash(config) => {
-                Box::new(SingleHashProfiler::new(interval, *config, seed)?)
+                Box::new(MultiHashProfiler::single_hash(interval, *config, seed)?)
             }
             ProfilerSpec::Perfect => Box::new(PerfectProfiler::new(interval)),
         })
@@ -500,6 +500,14 @@ impl ShardedEngine {
         }
         let events = r.take_u64("event count")?;
         let in_interval = r.take_u64("events in interval")?;
+        // The session cuts the moment its count reaches the interval length,
+        // so a position at or past it (or past the events seen) never cuts.
+        if in_interval >= interval_len || in_interval > events {
+            return Err(SnapshotError::Corrupt {
+                context: "events in interval out of range",
+            }
+            .into());
+        }
         let mut stats = Vec::with_capacity(shards as usize);
         for _ in 0..shards {
             stats.push(ShardStats {
@@ -1716,6 +1724,49 @@ mod tests {
             bad[i] ^= 0x10;
             assert!(matches!(engine.restore(&bad), Err(Error::Snapshot(_))));
         }
+    }
+
+    #[test]
+    fn restore_rejects_an_interval_position_that_cannot_cut() {
+        use mhp_core::state::{crc32, SNAPSHOT_MAGIC};
+        let interval = IntervalConfig::new(1_000, 0.05).unwrap();
+        let engine = ShardedEngine::new(EngineConfig::new(2), interval, ProfilerSpec::Perfect, 7);
+        let snapshot_after = |events: usize| {
+            let mut session = engine.start().unwrap();
+            session.push_all(li_events(events)).unwrap();
+            session.save_state().unwrap()
+        };
+        // `in_interval` follows the envelope header and three u64 fields,
+        // then re-sealed with a fresh CRC so only the range check can
+        // catch it.
+        let at = SNAPSHOT_MAGIC.len() + 2 + 1 + 3 * 8;
+        let with_in_interval = |snapshot: &[u8], in_interval: u64| {
+            let mut bytes = snapshot[..snapshot.len() - 4].to_vec();
+            bytes[at..at + 8].copy_from_slice(&in_interval.to_le_bytes());
+            let crc = crc32(&bytes);
+            bytes.extend_from_slice(&crc.to_le_bytes());
+            bytes
+        };
+        let corrupt = |bytes: &[u8]| {
+            matches!(
+                engine.restore(bytes),
+                Err(Error::Snapshot(SnapshotError::Corrupt { .. }))
+            )
+        };
+
+        let mid_second = snapshot_after(1_500);
+        assert_eq!(mid_second[at..at + 8], 500u64.to_le_bytes());
+        assert!(engine.restore(&with_in_interval(&mid_second, 999)).is_ok());
+        for in_interval in [1_000, 1_500, u64::MAX] {
+            assert!(
+                corrupt(&with_in_interval(&mid_second, in_interval)),
+                "in_interval {in_interval}"
+            );
+        }
+        // Within one interval, but past every event the session has seen.
+        let early = snapshot_after(300);
+        assert!(engine.restore(&with_in_interval(&early, 300)).is_ok());
+        assert!(corrupt(&with_in_interval(&early, 301)));
     }
 
     #[test]

@@ -420,6 +420,58 @@ fn periodic_checkpoints_are_written_and_removed_on_close() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A checkpoint whose CRCs are valid but whose engine claims a position at
+/// the interval length (where the session would already have cut) must be
+/// refused and counted, not restored into a session that never cuts again.
+#[test]
+fn checkpoint_with_an_impossible_interval_position_is_counted() {
+    use mhp_core::state::crc32;
+    let dir = scratch_dir("position");
+    let server_config = ServerConfig {
+        state_dir: Some(dir.clone()),
+        checkpoint_interval: Duration::from_secs(3_600),
+        ..ServerConfig::default()
+    };
+    let server = Server::bind("127.0.0.1:0", server_config.clone()).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    client
+        .open_session("pos", exact_configs()[0].clone())
+        .unwrap();
+    client.ingest(&workload(3, 7_000)).unwrap();
+    client.shutdown_server().unwrap();
+    server.join();
+
+    // Server envelope header, the 3-byte name with its length, kind, shard
+    // count, interval length, threshold, seed, last sequence and the
+    // engine blob's length; then the engine's own header and three u64s.
+    let path = std::fs::read_dir(&dir)
+        .unwrap()
+        .next()
+        .unwrap()
+        .unwrap()
+        .path();
+    let mut bytes = std::fs::read(&path).unwrap();
+    let blob = 11 + 8 + 3 + 1 + 4 + 8 + 8 + 8 + 8 + 8;
+    let at = blob + 11 + 3 * 8;
+    assert_eq!(bytes[at..at + 8], 2_000u64.to_le_bytes());
+    bytes[at..at + 8].copy_from_slice(&5_000u64.to_le_bytes());
+    let blob_end = bytes.len() - 4;
+    let inner = crc32(&bytes[blob..blob_end - 4]);
+    bytes[blob_end - 4..blob_end].copy_from_slice(&inner.to_le_bytes());
+    let outer = crc32(&bytes[..blob_end]);
+    bytes[blob_end..].copy_from_slice(&outer.to_le_bytes());
+    std::fs::write(&path, &bytes).unwrap();
+
+    let server = Server::bind("127.0.0.1:0", server_config).unwrap();
+    assert_eq!(server.restored_sessions(), 0);
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let metrics = client.metrics().unwrap();
+    assert_eq!(metric_value(&metrics, "server_restore_errors_total"), 1);
+    client.shutdown_server().unwrap();
+    server.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn corrupt_checkpoints_are_skipped_and_counted() {
     let dir = scratch_dir("badsnap");

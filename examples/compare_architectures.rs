@@ -18,7 +18,7 @@ fn main() -> Result<(), mhp::ConfigError> {
     );
 
     // Best single hash: 2K entries, retaining + resetting.
-    let mut bsh = SingleHashProfiler::new(interval, SingleHashConfig::best(), 1)?;
+    let mut bsh = MultiHashProfiler::single_hash(interval, SingleHashConfig::best(), 1)?;
     report(
         "single hash (P1 R1, 2K)",
         run_comparison(&mut bsh, events()),

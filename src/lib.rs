@@ -11,7 +11,7 @@
 //!
 //! | crate | contents |
 //! |-------|----------|
-//! | [`core`] | the profiler architectures: [`MultiHashProfiler`], [`SingleHashProfiler`], [`PerfectProfiler`], hash family, accumulator table, theory model |
+//! | [`core`] | the profiler architectures: [`MultiHashProfiler`] (one table of it is the single-hash profiler, from a [`SingleHashConfig`]), [`PerfectProfiler`], hash family, accumulator table, theory model |
 //! | [`trace`] | workload substrate: calibrated benchmark models and a toy instrumented CPU |
 //! | [`stratified`] | the Stratified Sampler baseline (Sastry et al., ISCA 2001) |
 //! | [`analysis`] | error metrics (Figure 3 / Equation 1), comparison drivers, variation analysis |
@@ -57,8 +57,7 @@ pub use mhp_apps::{DelinquentLoadSet, FrequentValueTable, MultipathSelector, Tra
 pub use mhp_cache::{Cache, CacheConfig, MissEvents};
 pub use mhp_core::{
     AccumulatorTable, AreaModel, ConfigError, EventProfiler, IntervalConfig, IntervalProfile,
-    MultiHashConfig, MultiHashProfiler, PerfectProfiler, SingleHashConfig, SingleHashProfiler,
-    Tuple,
+    MultiHashConfig, MultiHashProfiler, PerfectProfiler, SingleHashConfig, Tuple,
 };
 pub use mhp_stratified::{StratifiedConfig, StratifiedSampler};
 pub use mhp_trace::Benchmark;
@@ -68,7 +67,7 @@ pub mod prelude {
     pub use mhp_analysis::{run_comparison, run_exact_stats, ErrorCategory};
     pub use mhp_core::{
         EventProfiler, IntervalConfig, MultiHashConfig, MultiHashProfiler, PerfectProfiler,
-        SingleHashConfig, SingleHashProfiler, Tuple,
+        SingleHashConfig, Tuple,
     };
     pub use mhp_stratified::{StratifiedConfig, StratifiedSampler};
     pub use mhp_trace::Benchmark;

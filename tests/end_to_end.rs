@@ -36,7 +36,7 @@ fn multi_hash_profiles_every_benchmark_with_low_error() {
 #[test]
 fn multi_hash_beats_plain_single_hash_on_gcc() {
     let events = || Benchmark::Gcc.value_stream(5).take(200_000);
-    let mut single = SingleHashProfiler::new(
+    let mut single = MultiHashProfiler::single_hash(
         small_interval(),
         SingleHashConfig::new(2048).unwrap(), // P0 R0 baseline
         5,
@@ -86,7 +86,7 @@ fn resetting_trades_false_positives_for_false_negatives() {
         let config = SingleHashConfig::new(2048)
             .unwrap()
             .with_resetting(resetting);
-        let mut p = SingleHashProfiler::new(small_interval(), config, 11).unwrap();
+        let mut p = MultiHashProfiler::single_hash(small_interval(), config, 11).unwrap();
         run_comparison(&mut p, events())
             .into_series()
             .mean_breakdown()
@@ -121,7 +121,7 @@ fn stratified_baseline_needs_software_but_multi_hash_does_not() {
 fn edge_profiling_works_across_architectures() {
     for bench in [Benchmark::Gcc, Benchmark::M88ksim] {
         let mut single =
-            SingleHashProfiler::new(small_interval(), SingleHashConfig::best(), 3).unwrap();
+            MultiHashProfiler::single_hash(small_interval(), SingleHashConfig::best(), 3).unwrap();
         let mut multi =
             MultiHashProfiler::new(small_interval(), MultiHashConfig::best(), 3).unwrap();
         let single_err = run_comparison(&mut single, bench.edge_stream(3).take(100_000))

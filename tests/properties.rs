@@ -128,7 +128,8 @@ proptest! {
     #[test]
     fn error_rates_are_finite(stream in tuple_stream(500)) {
         let interval = IntervalConfig::new(100, 0.1).unwrap();
-        let mut p = SingleHashProfiler::new(interval, SingleHashConfig::best(), 2).unwrap();
+        let mut p =
+            MultiHashProfiler::single_hash(interval, SingleHashConfig::best(), 2).unwrap();
         let result = run_comparison(&mut p, stream.iter().copied());
         for e in result.series().intervals() {
             prop_assert!(e.total() >= 0.0);
@@ -143,7 +144,8 @@ proptest! {
     #[test]
     fn profilers_never_report_unseen_tuples(stream in tuple_stream(600), seed in 0u64..100) {
         let interval = IntervalConfig::new(100, 0.05).unwrap();
-        let mut single = SingleHashProfiler::new(interval, SingleHashConfig::best(), seed).unwrap();
+        let mut single =
+            MultiHashProfiler::single_hash(interval, SingleHashConfig::best(), seed).unwrap();
         let mut multi = MultiHashProfiler::new(interval, MultiHashConfig::new(64, 2).unwrap(), seed)
             .unwrap();
         let mut seen = std::collections::HashSet::new();

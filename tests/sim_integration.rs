@@ -62,7 +62,7 @@ fn single_and_multi_hash_agree_on_an_easy_program() {
     // bucket-counter loads are genuine noise that can alias.)
     let (loads, _) = run_program(programs::array_sum(8_000));
     let interval = IntervalConfig::new(2_000, 0.05).unwrap();
-    let mut single = SingleHashProfiler::new(interval, SingleHashConfig::best(), 3).unwrap();
+    let mut single = MultiHashProfiler::single_hash(interval, SingleHashConfig::best(), 3).unwrap();
     let mut multi = MultiHashProfiler::new(interval, MultiHashConfig::best(), 3).unwrap();
     let mut single_profiles = Vec::new();
     let mut multi_profiles = Vec::new();

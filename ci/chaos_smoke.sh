@@ -90,6 +90,21 @@ kill -0 "$server_pid" 2>/dev/null || {
 target/release/mhp-client verify --addr "$addr" \
   --stream li:value:7 --events 20000 >/dev/null
 stop_server
+# The same panic behind a stalled worker: every ack returns before the
+# worker reaches event 5000, so only record-and-send's closing barrier can
+# report the panic, and it must, on every run.
+start_server --addr 127.0.0.1:0 --fault-plan worker-stall@1,worker-panic@5000
+if target/release/mhp-client record-and-send --addr "$addr" \
+  --session chaos-lagging-panic --events 20000 --retries 3 2>/dev/null; then
+  echo "chaos_smoke: stream into a lagging panicked worker unexpectedly succeeded" >&2
+  exit 1
+fi
+kill -0 "$server_pid" 2>/dev/null || {
+  echo "chaos_smoke: lagging worker panic took the whole server down" >&2
+  cat "$log" >&2
+  exit 1
+}
+stop_server
 
 echo "==> phase 3: kill -9, restart from checkpoints, shed under overload"
 start_server --addr 127.0.0.1:0 --state-dir "$state" --checkpoint-interval-ms 100

@@ -19,6 +19,7 @@ use std::time::{Duration, Instant};
 
 use mhp_core::Candidate;
 use mhp_faults::{FaultHook, PullAction};
+use mhp_net::{Reactor, Waker};
 use mhp_server::protocol::{read_frame, write_frame};
 use mhp_server::{
     tenant_of, BreakerPhase, Client, ErrorCode, ProfileData, ProfilerKind, Request, Response,
@@ -49,6 +50,11 @@ const AGG_STAGE_SNAPSHOT: usize = 2;
 const AGG_STAGE_APPLY: usize = 3;
 /// Encoding and atomically writing the cycle's checkpoint.
 const AGG_STAGE_CHECKPOINT: usize = 4;
+
+/// `snapshot` requests a pull keeps in flight on its connection: one
+/// window costs one round trip, so draining `n` intervals costs about
+/// `n / PULL_WINDOW` round trips instead of `n`.
+const PULL_WINDOW: u64 = 64;
 
 /// Tuning for an [`Aggregator`].
 #[derive(Debug, Clone)]
@@ -184,44 +190,17 @@ struct Inner {
     /// Whether the last checkpoint write failed — gates the
     /// once-per-transition stderr log.
     checkpoint_failing: AtomicBool,
+    /// Raised once by [`Inner::begin_shutdown`]; every loop polls it.
     shutdown: AtomicBool,
+    /// Wakes the query plane's accept loop, which blocks in its reactor
+    /// until a connection arrives or this fires.
+    waker: Waker,
 }
 
-/// The aggregation node. [`bind`](Aggregator::bind) it to get a
-/// [`RunningAggregator`] handle.
-#[derive(Debug)]
-pub struct Aggregator;
-
-impl Aggregator {
-    /// Binds `addr`, restores any checkpoint at
-    /// [`AggConfig::state_path`], and starts one pull worker per
-    /// upstream, the clock thread, and the serving loop on background
-    /// threads.
-    ///
-    /// # Errors
-    ///
-    /// [`ServerError::Io`] if the address cannot be bound, or a snapshot
-    /// error if an existing checkpoint file is corrupt (a corrupt
-    /// checkpoint is a loud failure, not silent data loss).
-    pub fn bind(addr: &str, config: AggConfig) -> Result<RunningAggregator, ServerError> {
-        let listener = TcpListener::bind(addr)?;
-        let local_addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-
-        let telemetry = AggTelemetry::new();
-        let mut state = AggState::new();
-        if let Some(path) = &config.state_path {
-            match std::fs::read(path) {
-                Ok(bytes) => {
-                    state = AggState::decode(&bytes)
-                        .map_err(|e| ServerError::protocol_owned(format!("checkpoint: {e}")))?;
-                    telemetry.restores.incr();
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-                Err(e) => return Err(ServerError::Io(e)),
-            }
-        }
-
+impl Inner {
+    /// Shared state for `config`, with one upstream runtime per configured
+    /// upstream, every series on `telemetry`'s registry.
+    fn new(config: AggConfig, state: AggState, telemetry: AggTelemetry, waker: Waker) -> Inner {
         let upstreams = config
             .upstreams
             .iter()
@@ -243,8 +222,7 @@ impl Aggregator {
                 runtime
             })
             .collect();
-
-        let inner = Arc::new(Inner {
+        Inner {
             config,
             state: Mutex::new(state),
             telemetry,
@@ -253,7 +231,54 @@ impl Aggregator {
             progress: AtomicBool::new(false),
             checkpoint_failing: AtomicBool::new(false),
             shutdown: AtomicBool::new(false),
-        });
+            waker,
+        }
+    }
+
+    /// The one way to stop the aggregator: raise the shutdown flag, then
+    /// wake the accept loop so it observes the flag now.
+    fn begin_shutdown(&self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        self.waker.wake();
+    }
+}
+
+/// The aggregation node. [`bind`](Aggregator::bind) it to get a
+/// [`RunningAggregator`] handle.
+#[derive(Debug)]
+pub struct Aggregator;
+
+impl Aggregator {
+    /// Binds `addr`, restores any checkpoint at
+    /// [`AggConfig::state_path`], and starts one pull worker per
+    /// upstream, the clock thread, and the serving loop on background
+    /// threads.
+    ///
+    /// # Errors
+    ///
+    /// [`ServerError::Io`] if the address cannot be bound, or a snapshot
+    /// error if an existing checkpoint file is corrupt (a corrupt
+    /// checkpoint is a loud failure, not silent data loss).
+    pub fn bind(addr: &str, config: AggConfig) -> Result<RunningAggregator, ServerError> {
+        let listener = TcpListener::bind(addr)?;
+        let local_addr = listener.local_addr()?;
+        let reactor = Reactor::new()?;
+
+        let telemetry = AggTelemetry::new();
+        let mut state = AggState::new();
+        if let Some(path) = &config.state_path {
+            match std::fs::read(path) {
+                Ok(bytes) => {
+                    state = AggState::decode(&bytes)
+                        .map_err(|e| ServerError::protocol_owned(format!("checkpoint: {e}")))?;
+                    telemetry.restores.incr();
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+                Err(e) => return Err(ServerError::Io(e)),
+            }
+        }
+
+        let inner = Arc::new(Inner::new(config, state, telemetry, reactor.waker()));
 
         let mut pull_handles = Vec::with_capacity(inner.config.upstreams.len() + 1);
         for index in 0..inner.config.upstreams.len() {
@@ -265,7 +290,8 @@ impl Aggregator {
         let clock_inner = Arc::clone(&inner);
         pull_handles.push(std::thread::spawn(move || clock_loop(&clock_inner)));
         let serve_inner = Arc::clone(&inner);
-        let serve_handle = std::thread::spawn(move || accept_loop(&listener, &serve_inner));
+        let serve_handle =
+            std::thread::spawn(move || accept_loop(&listener, &serve_inner, reactor));
 
         Ok(RunningAggregator {
             local_addr,
@@ -343,7 +369,7 @@ impl RunningAggregator {
     /// Requests a graceful shutdown. Returns immediately; use
     /// [`join`](Self::join) to wait.
     pub fn shutdown(&self) {
-        self.inner.shutdown.store(true, Ordering::SeqCst);
+        self.inner.begin_shutdown();
     }
 
     /// Waits for every loop to finish. Implies [`shutdown`](Self::shutdown).
@@ -362,7 +388,7 @@ impl RunningAggregator {
         if let Some(handle) = self.serve_handle.take() {
             let _ = handle.join();
         }
-        self.inner.shutdown.store(true, Ordering::SeqCst);
+        self.inner.begin_shutdown();
         for handle in self.pull_handles.drain(..) {
             let _ = handle.join();
         }
@@ -568,12 +594,17 @@ fn checkpoint_cycle(inner: &Inner) {
 /// not-yet-pulled interval of every leaf session, and the full cumulative
 /// table of every child-aggregator export.
 ///
+/// A leaf session's snapshots are pipelined in windows of up to
+/// [`PULL_WINDOW`] requests on the one connection, and pulled until the
+/// first interval that does not exist yet, so intervals that complete
+/// during the pull are still taken.
+///
 /// Always returns the harvest collected so far, even alongside an error —
 /// cursors in the harvest cover exactly the snapshots that completed, so
 /// the caller can apply a partial harvest without double-counting. Every
 /// operation is deadline-bounded (connect timeout, per-read timeout) and
 /// the whole pull is budgeted: a dribbling upstream trips the budget
-/// between operations instead of holding the worker hostage.
+/// before each reply is read instead of holding the worker hostage.
 fn pull_upstream(inner: &Inner, index: usize, trace: &Trace) -> (Harvest, Result<(), ServerError>) {
     let upstream = &inner.config.upstreams[index];
     let policy = &inner.config.policy;
@@ -633,24 +664,38 @@ fn pull_upstream(inner: &Inner, index: usize, trace: &Trace) -> (Harvest, Result
                 continue; // nothing new; skip the attach round-trip
             }
             let timer = trace.stage(AGG_STAGE_SNAPSHOT);
-            let attach_result = client.attach(&info.name).map(|_| ());
             let start_cursor = cursor;
-            let mut session_result = attach_result;
-            while session_result.is_ok() {
-                if let Err(err) = over_budget() {
-                    session_result = Err(err);
-                    break;
-                }
-                match client.snapshot(cursor) {
-                    Ok(Some(profile)) => {
-                        harvest
-                            .leaf_profiles
-                            .push((tenant.clone(), profile.candidates));
-                        cursor += 1;
-                    }
-                    Ok(None) => break,
-                    Err(err) => session_result = Err(err),
-                }
+            let mut session_result = client.attach(&info.name).map(|_| ());
+            let mut caught_up = false;
+            while session_result.is_ok() && !caught_up {
+                // The listed intervals not pulled yet, plus one probe for
+                // an interval that completed since the listing.
+                let window = info
+                    .intervals
+                    .saturating_add(1)
+                    .saturating_sub(cursor)
+                    .clamp(1, PULL_WINDOW);
+                session_result = client.pipelined_snapshots(
+                    cursor..cursor + window,
+                    || {
+                        over_budget()?;
+                        read_delay();
+                        Ok(())
+                    },
+                    |reply| match reply {
+                        Some(profile) => {
+                            harvest
+                                .leaf_profiles
+                                .push((tenant.clone(), profile.candidates));
+                            cursor += 1;
+                            true
+                        }
+                        None => {
+                            caught_up = true;
+                            false
+                        }
+                    },
+                );
             }
             timer.finish();
             // Commit the cursor exactly as far as the snapshots actually
@@ -702,36 +747,29 @@ impl Drop for ConnGuard {
 
 /// Accepts query connections until shutdown. One thread per connection —
 /// aggregator query fan-in is dashboards and parent aggregators, not the
-/// firehose the ingest path handles. Finished handles are reaped as
-/// connections are accepted (not hoarded until shutdown), and arrivals
-/// beyond [`AggConfig::max_query_conns`] get a typed retryable
-/// `overloaded` rejection instead of a thread.
-fn accept_loop(listener: &TcpListener, inner: &Arc<Inner>) {
+/// firehose the ingest path handles. [`mhp_net::accept_until`] blocks
+/// until a connection arrives or [`Inner::begin_shutdown`] wakes it.
+/// Finished handles are reaped as connections are accepted (not hoarded
+/// until shutdown), and arrivals beyond [`AggConfig::max_query_conns`]
+/// get a typed retryable `overloaded` rejection instead of a thread.
+fn accept_loop(listener: &TcpListener, inner: &Arc<Inner>, reactor: Reactor) {
     let mut handles: Vec<JoinHandle<()>> = Vec::new();
     let active = Arc::new(AtomicUsize::new(0));
-    while !inner.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                handles.retain(|handle| !handle.is_finished());
-                if active.load(Ordering::SeqCst) >= inner.config.max_query_conns {
-                    inner.telemetry.busy_rejections.incr();
-                    reject_busy(stream);
-                    continue;
-                }
-                active.fetch_add(1, Ordering::SeqCst);
-                let guard = ConnGuard(Arc::clone(&active));
-                let inner = Arc::clone(inner);
-                handles.push(std::thread::spawn(move || {
-                    let _guard = guard;
-                    handle_connection(stream, &inner);
-                }));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => break,
+    let _ = mhp_net::accept_until(listener, reactor, &inner.shutdown, |stream| {
+        handles.retain(|handle| !handle.is_finished());
+        if active.load(Ordering::SeqCst) >= inner.config.max_query_conns {
+            inner.telemetry.busy_rejections.incr();
+            reject_busy(stream);
+            return;
         }
-    }
+        active.fetch_add(1, Ordering::SeqCst);
+        let guard = ConnGuard(Arc::clone(&active));
+        let inner = Arc::clone(inner);
+        handles.push(std::thread::spawn(move || {
+            let _guard = guard;
+            handle_connection(stream, &inner);
+        }));
+    });
     for handle in handles {
         let _ = handle.join();
     }
@@ -926,7 +964,7 @@ fn handle_request(request: Request, attached: &mut Option<String>, inner: &Inner
         Request::Metrics => Response::Metrics(inner.telemetry.registry.render_prometheus()),
         Request::Traces => Response::Traces(inner.telemetry.tracer.render_jsonl()),
         Request::Shutdown => {
-            inner.shutdown.store(true, Ordering::SeqCst);
+            inner.begin_shutdown();
             Response::Done
         }
         Request::Open { .. }
@@ -954,5 +992,97 @@ fn tenant_info(state: &AggState, tenant: &str) -> SessionInfo {
         config: cumulative_config(),
         events: state.tenant_events(tenant),
         intervals: state.epoch,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mhp_core::Tuple;
+    use mhp_faults::{FaultKind, FaultPlan};
+    use mhp_pipeline::{EngineConfig, ShardedEngine};
+    use mhp_server::{Server, ServerConfig};
+    use mhp_trace::{Benchmark, StreamKind, StreamSpec};
+
+    /// A pull torn mid-window keeps exactly the replies it read: the
+    /// cursor it commits equals its profile count, and the next pull
+    /// resumes there and converges on the offline merge.
+    #[test]
+    fn a_pull_torn_mid_window_commits_exactly_the_replies_read() {
+        let config = SessionConfig {
+            interval_len: 1_000,
+            seed: 5,
+            ..SessionConfig::default_multi_hash()
+        };
+        // Thirty completed intervals, so the first window holds all
+        // thirty requests plus the probe.
+        let events: Vec<Tuple> = StreamSpec::new(Benchmark::Gcc, StreamKind::Value, 5)
+            .events()
+            .take(30_500)
+            .collect();
+        // The server counts decoded requests: open and ingest, then the
+        // pull's listing and attach, so request 15 is the 11th snapshot.
+        let hook = FaultPlan::new(1)
+            .with_fault(FaultKind::TruncateFrame, 15)
+            .arm();
+        let server = Server::bind(
+            "127.0.0.1:0",
+            ServerConfig {
+                fault_hook: Some(hook.clone()),
+                ..ServerConfig::default()
+            },
+        )
+        .unwrap();
+        let mut recorder = Client::connect(server.local_addr()).unwrap();
+        recorder.open_session("acme/torn", config.clone()).unwrap();
+        recorder.ingest(&events).unwrap();
+
+        let upstream = server.local_addr().to_string();
+        let inner = Inner::new(
+            AggConfig {
+                upstreams: vec![upstream.clone()],
+                ..AggConfig::default()
+            },
+            AggState::new(),
+            AggTelemetry::new(),
+            Reactor::new().unwrap().waker(),
+        );
+        let trace = inner.telemetry.tracer.begin("pull");
+        let (torn, result) = pull_upstream(&inner, 0, &trace);
+        assert!(result.is_err(), "the torn reply must fail the pull");
+        assert_eq!(hook.injected(FaultKind::TruncateFrame), 1);
+        assert_eq!(torn.leaf_profiles.len(), 10);
+        assert_eq!(torn.cursors, [("acme/torn".to_string(), 10)]);
+        apply_harvest(&inner, &upstream, torn);
+
+        let (rest, result) = pull_upstream(&inner, 0, &trace);
+        result.unwrap();
+        assert_eq!(rest.leaf_profiles.len(), 20);
+        assert_eq!(rest.cursors, [("acme/torn".to_string(), 30)]);
+        apply_harvest(&inner, &upstream, rest);
+
+        let interval =
+            mhp_core::IntervalConfig::new(config.interval_len, config.threshold).unwrap();
+        let report = ShardedEngine::new(
+            EngineConfig::new(1),
+            interval,
+            config.kind.spec(),
+            config.seed,
+        )
+        .run(events.iter().copied())
+        .unwrap();
+        let mut expected = AggState::new();
+        for profile in &report.profiles {
+            expected.add_leaf_profile("acme", profile.candidates());
+        }
+        let state = inner.state.lock().unwrap();
+        assert_eq!(
+            state.top_k("acme", usize::MAX),
+            expected.top_k("acme", usize::MAX)
+        );
+        drop(state);
+        recorder.shutdown_server().unwrap();
+        drop(recorder);
+        server.join();
     }
 }

@@ -246,3 +246,33 @@ fn pull_faults_delay_but_do_not_corrupt() {
     agg.join();
     server.join();
 }
+
+/// Runs `stop` on its own thread and reports whether it returned within
+/// one second. The query plane's accept loop blocks until a connection or
+/// a shutdown wake arrives, so a lost wake shows up here as a hang.
+fn returns_within_a_second(stop: impl FnOnce() + Send + 'static) -> bool {
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        stop();
+        let _ = done_tx.send(());
+    });
+    done_rx.recv_timeout(Duration::from_secs(1)).is_ok()
+}
+
+/// `join` wakes a query plane that never saw a connection.
+#[test]
+fn join_stops_an_idle_aggregator_promptly() {
+    let agg = Aggregator::bind("127.0.0.1:0", AggConfig::default()).unwrap();
+    assert!(returns_within_a_second(move || agg.join()));
+}
+
+/// A `shutdown` request wakes the query plane's accept loop, so an
+/// otherwise idle aggregator stops without another connection arriving.
+#[test]
+fn shutdown_request_stops_an_idle_aggregator_promptly() {
+    let agg = Aggregator::bind("127.0.0.1:0", AggConfig::default()).unwrap();
+    let mut client = Client::connect(agg.local_addr()).unwrap();
+    client.shutdown_server().unwrap();
+    drop(client);
+    assert!(returns_within_a_second(move || agg.wait()));
+}

@@ -11,7 +11,10 @@
 //! The crate is deliberately mechanism-only: it knows nothing about the
 //! profiling wire protocol. mhp-server composes these pieces into its
 //! `--event-loop` front end; the loadgen in mhp-client reuses the same
-//! reactor to multiplex thousands of client sessions.
+//! reactor to multiplex thousands of client sessions; and
+//! [`accept_until`] gives thread-per-connection servers (mhp-server's
+//! threaded front end, mhp-agg's query plane) an accept loop that blocks
+//! until a connection or a shutdown wake arrives.
 //!
 //! ## Shape of a loop
 //!
@@ -47,11 +50,13 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod accept;
 mod conn;
 mod reactor;
 mod sys;
 mod timer;
 
+pub use accept::accept_until;
 pub use conn::{Conn, Slab, Step};
 pub use reactor::{Event, Interest, Reactor, Token, Waker};
 pub use timer::TimerWheel;

@@ -44,7 +44,7 @@
 use std::collections::VecDeque;
 use std::fmt;
 use std::str::FromStr;
-use std::sync::mpsc::{Receiver, Sender};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -852,7 +852,7 @@ impl EngineSession {
         drop(reply_tx);
         let mut pairs: Vec<(Tuple, u64)> = Vec::new();
         for shard in 0..self.senders.len() {
-            let answer = reply_rx.recv().map_err(|_| Error::WorkerDied { shard })?;
+            let answer = self.await_reply(&reply_rx, shard)?;
             // Tuple-stable partitioning: no tuple appears on two shards, so
             // concatenation (not summation) is the correct combine.
             pairs.extend(answer.into_iter().map(|c| (c.tuple, c.count)));
@@ -892,7 +892,7 @@ impl EngineSession {
         }
         let mut blobs = Vec::with_capacity(replies.len());
         for (shard, rx) in replies.into_iter().enumerate() {
-            blobs.push(rx.recv().map_err(|_| Error::WorkerDied { shard })??);
+            blobs.push(self.await_reply(&rx, shard)??);
         }
         let mut w = SnapshotWriter::new(KIND_ENGINE_SESSION);
         w.put_u64(self.senders.len() as u64);
@@ -1076,6 +1076,25 @@ impl EngineSession {
         Error::WorkerDied { shard }
     }
 
+    /// Waits for the reply to a `TopK` or `SaveState` message; `shard` is
+    /// the worker blamed if the channel hangs up. The reply sender travels
+    /// in the message, and a worker that panics leaves the messages queued
+    /// behind it in its ring, reply senders included, so the channel may
+    /// never hang up: a finished worker thread is the death signal too.
+    fn await_reply<T>(&self, rx: &Receiver<T>, shard: usize) -> Result<T, Error> {
+        loop {
+            match rx.recv_timeout(REPLY_POLL) {
+                Ok(reply) => return Ok(reply),
+                Err(RecvTimeoutError::Disconnected) => return Err(Error::WorkerDied { shard }),
+                Err(RecvTimeoutError::Timeout) => {
+                    if let Some(dead) = self.handles.iter().position(JoinHandle::is_finished) {
+                        return Err(Error::WorkerDied { shard: dead });
+                    }
+                }
+            }
+        }
+    }
+
     /// Flushes every shard's pending batch without cutting.
     fn flush_batches(&mut self) -> Result<(), Error> {
         for shard in 0..self.senders.len() {
@@ -1120,6 +1139,10 @@ impl EngineSession {
         Ok(())
     }
 }
+
+/// How often a caller waiting on a shard worker's reply checks that the
+/// worker is still alive.
+const REPLY_POLL: Duration = Duration::from_millis(10);
 
 /// How long [`EngineSession`]'s `Drop` waits for each worker before
 /// detaching it. Workers exit promptly once the channel hangs up; the bound
@@ -1790,6 +1813,37 @@ mod tests {
             other => panic!("expected a typed worker panic, got {other:?}"),
         }
         assert_eq!(hook.injected(FaultKind::WorkerPanic), 1);
+    }
+
+    #[test]
+    fn a_query_queued_behind_a_worker_panic_reports_the_dead_worker() {
+        use mhp_faults::FaultPlan;
+        // The worker stalls on its first batch, so the query lands in its
+        // ring behind the batch that kills it, and the query's reply
+        // sender is stranded in a ring nobody drains. Both queries must
+        // still return.
+        let start = || {
+            let hook = FaultPlan::parse("worker-stall@1,worker-panic@5000", 0)
+                .unwrap()
+                .arm();
+            let interval = IntervalConfig::new(1_000_000, 0.01).unwrap();
+            let engine =
+                ShardedEngine::new(EngineConfig::new(1), interval, ProfilerSpec::Perfect, 0)
+                    .with_fault_hook(hook);
+            let mut session = engine.start().unwrap();
+            session.push_all(li_events(20_000)).unwrap();
+            session
+        };
+        let top_k = start().top_k(1);
+        assert!(
+            matches!(top_k, Err(Error::WorkerDied { shard: 0 })),
+            "{top_k:?}"
+        );
+        let saved = start().save_state();
+        assert!(
+            matches!(saved, Err(Error::WorkerDied { shard: 0 })),
+            "{saved:?}"
+        );
     }
 
     #[test]

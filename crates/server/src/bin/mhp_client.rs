@@ -179,11 +179,15 @@ fn cmd_record_and_send(mut opts: Options) -> Result<(), ServerError> {
 
     let all: Vec<Tuple> = spec.events().take(events).collect();
     let mut totals = (0, 0);
+    // The server acks a chunk before its shard worker has run it, so the
+    // stream ends with a `topk` barrier: it waits on every shard worker
+    // and fails if one of them died behind the acks.
     if let Some(policy) = policy {
         let mut client = ReconnectingClient::open(resolve(&addr)?, &session, config, policy)?;
         for chunk in all.chunks(chunk_events.max(1)) {
             totals = client.ingest(chunk)?;
         }
+        client.top_k(1)?;
         if client.retries() > 0 {
             println!(
                 "recovered from {} fault(s) across {} connection(s)",
@@ -200,6 +204,7 @@ fn cmd_record_and_send(mut opts: Options) -> Result<(), ServerError> {
         for chunk in all.chunks(chunk_events.max(1)) {
             totals = client.ingest(chunk)?;
         }
+        client.top_k(1)?;
         if close {
             client.close_session()?;
         }

@@ -2,8 +2,9 @@
 //! one TCP connection, plus the [`loadgen`] harness that drives a server
 //! with many concurrent recorders and reports throughput and latency.
 
-use std::io::{BufReader, BufWriter};
+use std::io::{BufReader, BufWriter, Write};
 use std::net::{TcpStream, ToSocketAddrs};
+use std::ops::Range;
 use std::time::{Duration, Instant};
 
 use mhp_core::{Candidate, Tuple};
@@ -18,8 +19,9 @@ use crate::protocol::{
 
 /// A blocking connection to an `mhp-server`.
 ///
-/// One request is in flight at a time; every method sends a frame and
-/// waits for the response. Error responses surface as
+/// Every method but [`pipelined_snapshots`](Self::pipelined_snapshots)
+/// has one request in flight at a time: it sends a frame and waits for
+/// the response. Error responses surface as
 /// [`ServerError::Remote`]; unexpected-but-valid responses (a server
 /// newer than this client) surface as protocol errors.
 #[derive(Debug)]
@@ -101,6 +103,11 @@ impl Client {
     /// `Ok(Response::Error { .. })` for callers that want to inspect it.
     pub fn call(&mut self, request: &Request) -> Result<Response, ServerError> {
         write_frame(&mut self.writer, &request.encode())?;
+        self.read_response()
+    }
+
+    /// Reads and decodes the next response frame.
+    fn read_response(&mut self) -> Result<Response, ServerError> {
         let body = read_frame(&mut self.reader)?
             .ok_or_else(|| ServerError::protocol("server hung up before responding"))?;
         Response::decode(&body)
@@ -227,6 +234,48 @@ impl Client {
             Response::NoProfile => Ok(None),
             other => Err(unexpected(&other)),
         }
+    }
+
+    /// [`snapshot`](Self::snapshot) for a run of intervals, pipelined:
+    /// writes one request per interval with a single flush, then reads the
+    /// replies in request order (a server answers one connection's frames
+    /// strictly in order) and hands each to `on_reply` — the profile, or
+    /// `None` for an interval that does not exist (yet). `before_read`
+    /// runs before each reply is read; its error ends the run. Once
+    /// `on_reply` returns `false`, the rest of the run is read and
+    /// discarded, so the connection stays in step.
+    ///
+    /// # Errors
+    ///
+    /// Transport failures, an error response, or an error from
+    /// `before_read`. Replies may still be in flight after one, so drop
+    /// the connection.
+    pub fn pipelined_snapshots(
+        &mut self,
+        intervals: Range<u64>,
+        mut before_read: impl FnMut() -> Result<(), ServerError>,
+        mut on_reply: impl FnMut(Option<ProfileData>) -> bool,
+    ) -> Result<(), ServerError> {
+        let mut frames = Vec::new();
+        for interval in intervals.clone() {
+            write_frame(&mut frames, &Request::Snapshot { interval }.encode())?;
+        }
+        self.writer.write_all(&frames)?;
+        self.writer.flush()?;
+        let mut wanted = true;
+        for _ in intervals {
+            before_read()?;
+            let reply = match self.read_response()? {
+                Response::Profile(profile) => Some(profile),
+                Response::NoProfile => None,
+                Response::Error { code, message } => {
+                    return Err(ServerError::Remote { code, message })
+                }
+                other => return Err(unexpected(&other)),
+            };
+            wanted = wanted && on_reply(reply);
+        }
+        Ok(())
     }
 
     /// The hottest `n` tuples of the session's current partial interval.

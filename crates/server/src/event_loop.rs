@@ -501,9 +501,10 @@ const LISTENER: Token = Token(usize::MAX);
 
 /// Runs the event loop until shutdown: the `--event-loop` counterpart of
 /// `accept_loop`, owning the listener, every connection, the timer wheel
-/// and the worker pool. Returns after flushing in-flight work (bounded
-/// grace) and draining every session.
-pub(crate) fn run(listener: &TcpListener, shared: &Arc<Shared>) {
+/// and the worker pool. `reactor` is the one whose waker
+/// [`Shared::begin_shutdown`] fires. Returns after flushing in-flight
+/// work (bounded grace) and draining every session.
+pub(crate) fn run(listener: &TcpListener, shared: &Arc<Shared>, mut reactor: Reactor) {
     let config = shared
         .config
         .event_loop
@@ -511,10 +512,6 @@ pub(crate) fn run(listener: &TcpListener, shared: &Arc<Shared>) {
         .expect("event_loop::run without event-loop config");
     let net = NetMetrics::on_registry(shared.metrics.registry());
 
-    let mut reactor = match Reactor::new() {
-        Ok(reactor) => reactor,
-        Err(_) => return,
-    };
     if listener.set_nonblocking(true).is_err()
         || reactor
             .register(listener.as_raw_fd(), LISTENER, Interest::READABLE)

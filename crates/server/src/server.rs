@@ -17,6 +17,9 @@
 //!   and are closed immediately — a graceful rejection, not a hang.
 //! * Reads carry a timeout so a silent peer cannot pin a pool thread
 //!   forever; each timeout re-checks the shutdown flag.
+//! * The accept loop blocks in an [`mhp_net::Reactor`] until a connection
+//!   arrives or shutdown wakes it, so an idle server spends no CPU and a
+//!   new connection waits on nothing.
 //! * A protocol violation gets a best-effort error response, then the
 //!   connection is dropped (counted in `protocol_errors`).
 //!
@@ -43,10 +46,11 @@ use std::io::{BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+use mhp_net::{Reactor, Waker};
 
 use mhp_telemetry::{CounterVec, StageSummary, Trace, TraceConfig, Tracer};
 
@@ -499,10 +503,22 @@ pub(crate) struct Shared {
     pub(crate) tracer: Tracer,
     /// Zero point for session last-touch timestamps.
     epoch: Instant,
+    /// Raised once by [`Shared::begin_shutdown`]; every loop polls it.
     pub(crate) shutdown: AtomicBool,
+    /// Wakes the accept thread's reactor, which blocks until a connection
+    /// arrives or this fires.
+    waker: Waker,
 }
 
 impl Shared {
+    /// The one way to stop the server: raise the shutdown flag, then wake
+    /// the accept thread so it observes the flag now rather than at the
+    /// next connection.
+    pub(crate) fn begin_shutdown(&self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        self.waker.wake();
+    }
+
     /// Milliseconds since the server epoch, for LRU timestamps.
     fn now_ms(&self) -> u64 {
         self.epoch.elapsed().as_millis().min(u128::from(u64::MAX)) as u64
@@ -527,9 +543,7 @@ impl Server {
     ) -> Result<RunningServer, ServerError> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
-        // Poll the shutdown flag between accepts instead of blocking in
-        // accept() forever.
-        listener.set_nonblocking(true)?;
+        let reactor = Reactor::new()?;
 
         let metrics = Metrics::new();
         let durability = Durability::on_registry(metrics.registry());
@@ -556,6 +570,7 @@ impl Server {
             tracer,
             epoch: Instant::now(),
             shutdown: AtomicBool::new(false),
+            waker: reactor.waker(),
         });
 
         // Restore checkpointed sessions before the first connection can
@@ -580,12 +595,9 @@ impl Server {
 
         let accept_shared = Arc::clone(&shared);
         let accept_handle = if shared.config.event_loop.is_some() {
-            std::thread::spawn(move || crate::event_loop::run(&listener, &accept_shared))
+            std::thread::spawn(move || crate::event_loop::run(&listener, &accept_shared, reactor))
         } else {
-            std::thread::spawn(move || {
-                let (done_tx, done_rx) = std::sync::mpsc::channel();
-                accept_loop(&listener, &accept_shared, &done_tx, &done_rx);
-            })
+            std::thread::spawn(move || accept_loop(&listener, &accept_shared, reactor))
         };
 
         Ok(RunningServer {
@@ -945,7 +957,7 @@ impl RunningServer {
     /// connections finish, drain every session. Returns immediately; use
     /// [`join`](Self::join) to wait.
     pub fn shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        self.shared.begin_shutdown();
     }
 
     /// Waits for the accept loop and every connection to finish and all
@@ -971,7 +983,7 @@ impl RunningServer {
         // The accept loop is gone, so the server is down even if nothing
         // raised the flag (e.g. a hard listener error); make sure the
         // exporter observes that and writes its final snapshot.
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        self.shared.begin_shutdown();
         if let Some(handle) = self.export_handle.take() {
             let _ = handle.join();
         }
@@ -992,46 +1004,29 @@ impl Drop for RunningServer {
 }
 
 /// Accepts until shutdown, then waits for live handlers and drains
-/// sessions. Handler threads report completion over `done`; the loop
-/// counts live connections itself, so the limit is exact even though
-/// handlers run concurrently.
-fn accept_loop(
-    listener: &TcpListener,
-    shared: &Arc<Shared>,
-    done_tx: &Sender<()>,
-    done_rx: &Receiver<()>,
-) {
-    let mut live = 0usize;
-    let mut handles = Vec::new();
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        // Reap finished handlers without blocking.
-        while done_rx.try_recv().is_ok() {
-            live -= 1;
+/// sessions. [`mhp_net::accept_until`] blocks until a connection arrives
+/// or [`Shared::begin_shutdown`] wakes it. The live count is the
+/// `connections_active` gauge, which each handler lowers as it exits, so
+/// the cap check sees every connection that closed while the loop was
+/// blocked.
+fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, reactor: Reactor) {
+    let mut handles: Vec<JoinHandle<()>> = Vec::new();
+    let _ = mhp_net::accept_until(listener, reactor, &shared.shutdown, |stream| {
+        handles.retain(|handle| !handle.is_finished());
+        let live = shared.metrics.connections_active.get();
+        if live >= shared.config.max_connections as u64 {
+            shared.metrics.connections_rejected.incr();
+            reject_overloaded(stream);
+            return;
         }
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                if live >= shared.config.max_connections {
-                    shared.metrics.connections_rejected.incr();
-                    reject_overloaded(stream);
-                    continue;
-                }
-                live += 1;
-                shared.metrics.connections_accepted.incr();
-                shared.metrics.connections_active.incr();
-                let shared = Arc::clone(shared);
-                let done = done_tx.clone();
-                handles.push(std::thread::spawn(move || {
-                    handle_connection(stream, &shared);
-                    shared.metrics.connections_active.decr();
-                    let _ = done.send(());
-                }));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => break,
-        }
-    }
+        shared.metrics.connections_accepted.incr();
+        shared.metrics.connections_active.incr();
+        let shared = Arc::clone(shared);
+        handles.push(std::thread::spawn(move || {
+            handle_connection(stream, &shared);
+            shared.metrics.connections_active.decr();
+        }));
+    });
     // Graceful drain: handlers observe the flag via read timeouts and
     // exit; then each session is checkpointed (when a state dir is
     // configured) while its engine is still live, and its shard workers
@@ -1528,7 +1523,7 @@ fn handle_request(
             Ok(Response::Done)
         }
         Request::Shutdown => {
-            shared.shutdown.store(true, Ordering::SeqCst);
+            shared.begin_shutdown();
             Ok(Response::Done)
         }
     }

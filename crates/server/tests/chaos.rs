@@ -320,6 +320,60 @@ fn every_fault_kind_recovers_bit_identically_or_fails_typed() {
     }
 }
 
+/// The server acks a chunk before its shard worker runs it, so
+/// `mhp-client record-and-send` ends with a barrier through every shard
+/// worker. Here the worker stalls on its first batch and panics at event
+/// 5000; all five 4096-event acks of the 20000-event stream return before
+/// it gets there, and only the barrier can report the dead worker. Both
+/// client paths, plain and reconnecting, must exit with an error.
+#[test]
+fn record_and_send_fails_when_a_worker_dies_behind_the_acks() {
+    for retries in [None, Some("3")] {
+        let hook = FaultPlan::parse("worker-stall@1,worker-panic@5000", 0)
+            .unwrap()
+            .arm();
+        let server = Server::bind(
+            "127.0.0.1:0",
+            ServerConfig {
+                fault_hook: Some(hook.clone()),
+                ..ServerConfig::default()
+            },
+        )
+        .unwrap();
+        let addr = server.local_addr().to_string();
+        let mut command = std::process::Command::new(env!("CARGO_BIN_EXE_mhp-client"));
+        command.args([
+            "record-and-send",
+            "--addr",
+            &addr,
+            "--session",
+            "behind-the-acks",
+            "--events",
+            "20000",
+        ]);
+        if let Some(retries) = retries {
+            command.args(["--retries", retries]);
+        }
+        let output = command.output().unwrap();
+        assert!(
+            !output.status.success(),
+            "retries {retries:?}: stream into a panicked worker succeeded: {}",
+            String::from_utf8_lossy(&output.stdout)
+        );
+        assert_eq!(hook.injected(FaultKind::WorkerPanic), 1);
+
+        // The server survives the panic: a fresh session still works.
+        let mut probe = Client::connect(server.local_addr()).unwrap();
+        probe
+            .open_session("probe", SessionConfig::default_multi_hash())
+            .unwrap();
+        probe.ingest(&workload(3, 1_000)).unwrap();
+        probe.shutdown_server().unwrap();
+        drop(probe);
+        server.join();
+    }
+}
+
 #[test]
 fn overload_watermark_sheds_ingest_with_typed_error() {
     let server_config = ServerConfig {

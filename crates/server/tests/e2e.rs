@@ -1,6 +1,8 @@
 //! End-to-end acceptance tests: a real server on an ephemeral port, real
 //! TCP clients, and equivalence against offline engine runs.
 
+use std::time::{Duration, Instant};
+
 use mhp_core::Tuple;
 use mhp_pipeline::{EngineConfig, ShardedEngine};
 use mhp_server::{
@@ -302,6 +304,74 @@ fn over_limit_connections_are_rejected_gracefully() {
     drop(second);
     drop(first);
     server.join();
+}
+
+/// A connection that closed while the accept loop was blocked frees its
+/// slot for the next arrival: at `max_connections = 1`, ten sequential
+/// connect → request → close cycles are all served, and none is refused.
+#[test]
+fn closed_connections_free_their_slot_for_the_next_arrival() {
+    let server = Server::bind(
+        "127.0.0.1:0",
+        ServerConfig {
+            max_connections: 1,
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    for cycle in 0..10 {
+        let mut client = Client::connect(server.local_addr()).unwrap();
+        client
+            .list_sessions()
+            .unwrap_or_else(|e| panic!("cycle {cycle}: {e}"));
+        drop(client);
+        // The handler lowers the live count once it sees the hang-up; the
+        // next arrival must find the slot free from then on.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while stat_value(&server.stats(), "connections_active") != Some(0) {
+            assert!(
+                Instant::now() < deadline,
+                "cycle {cycle}: handler never exited"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+    assert_eq!(stat_value(&server.stats(), "connections_rejected"), Some(0));
+    assert_eq!(
+        stat_value(&server.stats(), "connections_accepted"),
+        Some(10)
+    );
+    server.join();
+}
+
+/// Runs `stop` on its own thread and reports whether it returned within
+/// one second. The accept loop blocks until a connection or a shutdown
+/// wake arrives, so a lost wake shows up here as a hang.
+fn returns_within_a_second(stop: impl FnOnce() + Send + 'static) -> bool {
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        stop();
+        let _ = done_tx.send(());
+    });
+    done_rx.recv_timeout(Duration::from_secs(1)).is_ok()
+}
+
+/// `join` wakes an accept loop that never saw a connection.
+#[test]
+fn join_stops_an_idle_server_promptly() {
+    let server = Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
+    assert!(returns_within_a_second(move || server.join()));
+}
+
+/// A `shutdown` request wakes the accept loop, so an otherwise idle server
+/// stops without another connection arriving.
+#[test]
+fn shutdown_request_stops_an_idle_server_promptly() {
+    let server = Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    client.shutdown_server().unwrap();
+    drop(client);
+    assert!(returns_within_a_second(move || server.wait()));
 }
 
 /// Malformed bytes get an error response and the connection is dropped;

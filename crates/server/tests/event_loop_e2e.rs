@@ -352,6 +352,95 @@ fn front_ends_agree_on_replies_and_request_accounting() {
     );
 }
 
+/// Reads one reply frame, length prefix included.
+fn read_reply(stream: &mut std::net::TcpStream) -> Vec<u8> {
+    use std::io::Read;
+    let mut reply = vec![0u8; 4];
+    stream.read_exact(&mut reply).unwrap();
+    let len = u32::from_le_bytes(reply[..4].try_into().unwrap());
+    stream.take(u64::from(len)).read_to_end(&mut reply).unwrap();
+    reply
+}
+
+/// Sends `frames` on one fresh connection and collects one reply per
+/// frame: all frames written back to back when `pipelined`, else each
+/// after the previous reply.
+fn exchange(addr: std::net::SocketAddr, frames: &[Vec<u8>], pipelined: bool) -> Vec<Vec<u8>> {
+    let mut stream = std::net::TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    if pipelined {
+        stream.write_all(&frames.concat()).unwrap();
+        return frames.iter().map(|_| read_reply(&mut stream)).collect();
+    }
+    frames
+        .iter()
+        .map(|frame| {
+            stream.write_all(frame).unwrap();
+            read_reply(&mut stream)
+        })
+        .collect()
+}
+
+/// Both front ends answer one connection's frames strictly in order, so a
+/// client may pipeline: `snapshot` and `topk` frames written back to back
+/// get, byte for byte, the replies they get one at a time.
+#[test]
+fn pipelined_requests_are_answered_in_order_on_both_front_ends() {
+    let framed = |request: mhp_server::Request| {
+        let body = request.encode();
+        let mut frame = (body.len() as u32).to_le_bytes().to_vec();
+        frame.extend_from_slice(&body);
+        frame
+    };
+    let session = SessionConfig {
+        kind: ProfilerKind::MultiHash,
+        shards: 2,
+        interval_len: 1_000,
+        threshold: 0.01,
+        seed: 7,
+    };
+    // Twelve completed intervals and a partial one; the last snapshots
+    // ask past the end and get no-profile replies.
+    let mut frames = vec![framed(mhp_server::Request::Attach {
+        name: "pipelined".into(),
+    })];
+    for i in 0..15u64 {
+        frames.push(framed(mhp_server::Request::Snapshot { interval: i }));
+        frames.push(framed(mhp_server::Request::TopK { n: 1 + i as u32 }));
+    }
+
+    let mut per_front_end = Vec::new();
+    for config in [ServerConfig::default(), event_loop_config()] {
+        let server = Server::bind("127.0.0.1:0", config).unwrap();
+        let mut recorder = Client::connect(server.local_addr()).unwrap();
+        recorder.open_session("pipelined", session.clone()).unwrap();
+        recorder.ingest(&workload(9, 12_500)).unwrap();
+
+        let one_at_a_time = exchange(server.local_addr(), &frames, false);
+        let pipelined = exchange(server.local_addr(), &frames, true);
+        assert_eq!(pipelined.len(), frames.len());
+        for (i, (a, b)) in one_at_a_time.iter().zip(&pipelined).enumerate() {
+            assert_eq!(a, b, "reply {} differs when pipelined", i + 1);
+        }
+        let profiles = pipelined[1..].iter().step_by(2);
+        let no_profile = mhp_server::Response::NoProfile.encode();
+        assert_eq!(
+            profiles
+                .filter(|reply| reply[4..] != no_profile[..])
+                .count(),
+            12,
+            "twelve completed intervals, then no-profile replies"
+        );
+        recorder.shutdown_server().unwrap();
+        drop(recorder);
+        server.join();
+        per_front_end.push(pipelined);
+    }
+    assert_eq!(per_front_end[0], per_front_end[1], "front ends disagree");
+}
+
 /// Beyond `max_connections` the event loop answers with a retryable
 /// `overloaded` rejection, exactly like the threaded front end.
 #[test]

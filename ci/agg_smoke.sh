@@ -139,6 +139,20 @@ ckpt_errors="$(target/release/mhp-agg query --addr "$child_addr" --op metrics |
 }
 
 echo "==> phase 3: kill -9 the child, land new data, restore from checkpoint"
+# The child checkpoints on the first clock tick after a pull made
+# progress, and phase 2 can converge through its memory within one tick,
+# so wait for the first checkpoint before killing it.
+ckpts=0
+for _ in $(seq 100); do
+  ckpts="$(target/release/mhp-agg query --addr "$child_addr" --op metrics |
+    awk '$1 == "agg_checkpoints_total" { print $2 }')"
+  [ "${ckpts:-0}" -gt 0 ] && break
+  sleep 0.05
+done
+[ "${ckpts:-0}" -gt 0 ] || {
+  echo "agg_smoke: child never wrote a checkpoint" >&2
+  exit 1
+}
 # The braces keep bash's asynchronous "Killed" job notice out of the log.
 { kill -9 "$child_pid" && wait "$child_pid"; } 2>/dev/null || true
 sleep 0.3 # let the parent record at least one failed pull

@@ -1,13 +1,16 @@
 #!/usr/bin/env bash
-# c10k smoke test: boot mhp-server with --event-loop and hold thousands of
-# concurrent live sessions against it from the multiplexed load generator —
-# a small active subset streaming ingest, the rest idling attached, the
-# fleet-realistic mix. Fails if any session fails to open, if the active
-# streams do not complete, or if the server's own session counter
-# disagrees. SESSIONS (default 2048) and ACTIVE (default 16) scale the run.
+# c10k smoke test: boot mhp-server with --max-conns raised above SESSIONS
+# and hold thousands of concurrent live sessions against it from the
+# multiplexed load generator — a small active subset streaming ingest, the
+# rest idling attached, the fleet-realistic mix. The server holds each
+# connection on its own handler thread. Fails if any session fails to
+# open, if the active streams do not complete, or if the server's own
+# session counter disagrees. SESSIONS (default 2048) and ACTIVE (default
+# 16) scale the run.
 #
 # CI runs this non-gating: the concurrency ceiling depends on the
-# runner's fd limits and memory, so a failure warns rather than gates.
+# runner's fd, thread and memory limits, so a failure warns rather than
+# gates.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -25,7 +28,7 @@ ulimit -n "$need_fds" 2>/dev/null || {
 cargo build -q --release -p mhp-server
 
 log="$(mktemp)"
-target/release/mhp-server --addr 127.0.0.1:0 --event-loop >"$log" 2>&1 &
+target/release/mhp-server --addr 127.0.0.1:0 --max-conns $((SESSIONS + 64)) >"$log" 2>&1 &
 server_pid=$!
 trap 'kill "$server_pid" 2>/dev/null || true; rm -f "$log"' EXIT
 
@@ -40,7 +43,7 @@ if [ -z "$addr" ]; then
   cat "$log" >&2
   exit 1
 fi
-echo "==> event-loop server up on $addr"
+echo "==> server up on $addr"
 
 echo "==> holding $SESSIONS concurrent sessions ($ACTIVE active streams)"
 target/release/mhp-client loadgen --addr "$addr" \

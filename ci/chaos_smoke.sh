@@ -7,21 +7,8 @@
 # the same state directory, confirm the session was restored and that an
 # overloaded server sheds ingest with a typed error. Scrapes the durability
 # counters (restore/shed) from the Prometheus exposition at the end.
-#
-# MODE=threaded (default) or MODE=event-loop selects the front end; the
-# fault-recovery and durability story must hold identically in both.
 set -euo pipefail
 cd "$(dirname "$0")/.."
-
-MODE="${MODE:-threaded}"
-mode_flags=()
-if [ "$MODE" = "event-loop" ]; then
-  mode_flags+=(--event-loop)
-elif [ "$MODE" != "threaded" ]; then
-  echo "chaos_smoke: unknown MODE=$MODE (use threaded or event-loop)" >&2
-  exit 1
-fi
-echo "==> mode: $MODE"
 
 cargo build -q --release -p mhp-server
 
@@ -36,7 +23,7 @@ trap cleanup EXIT
 
 start_server() {
   : >"$log"
-  target/release/mhp-server "$@" "${mode_flags[@]}" >"$log" 2>&1 &
+  target/release/mhp-server "$@" >"$log" 2>&1 &
   server_pid=$!
   addr=""
   for _ in $(seq 50); do

@@ -27,17 +27,11 @@ cargo test --workspace -q
 echo "==> benchmark package tests (e2ebench)"
 CARGO_TARGET_DIR=.bench_build cargo test --release --manifest-path e2ebench/Cargo.toml -q
 
-echo "==> server integration smoke test (threaded)"
-MODE=threaded ci/server_smoke.sh
+echo "==> server integration smoke test"
+ci/server_smoke.sh
 
-echo "==> server integration smoke test (event loop)"
-MODE=event-loop ci/server_smoke.sh
-
-echo "==> chaos smoke test, threaded (faults, kill -9 restore, overload shed)"
-MODE=threaded ci/chaos_smoke.sh
-
-echo "==> chaos smoke test, event loop (same story on the reactor)"
-MODE=event-loop ci/chaos_smoke.sh
+echo "==> chaos smoke test (faults, kill -9 restore, overload shed)"
+ci/chaos_smoke.sh
 
 echo "==> fleet aggregation smoke test (multi-tenant, two-level, kill -9 restore)"
 ci/agg_smoke.sh
@@ -77,8 +71,9 @@ else
   echo "warning: hotpath bench smoke failed (non-gating)" >&2
 fi
 
-# c10k smoke: thousands of concurrent live sessions on the event loop.
-# Non-gating — the ceiling depends on local fd limits and memory.
+# c10k smoke: thousands of concurrent live sessions, one server handler
+# thread each. Non-gating — the ceiling depends on local fd, thread and
+# memory limits.
 echo "==> c10k smoke (non-gating)"
 if ! ci/c10k_smoke.sh; then
   echo "warning: c10k smoke failed (non-gating)" >&2

@@ -174,11 +174,15 @@ fn cmd_serve(mut args: Args) -> Result<(), ServerError> {
         config.fault_hook = Some(plan.arm());
     }
     let agg = Aggregator::bind(&addr, config)?;
+    // The restore line comes first: a script that has scraped the address
+    // line below may check for it at once, while the pull workers already
+    // contend for the state lock that `epoch` takes.
+    let epoch = agg.epoch();
+    if epoch > 0 {
+        println!("restored checkpoint at epoch {epoch}");
+    }
     // Smoke scripts scrape this exact line for the resolved port.
     println!("aggregating on {}", agg.local_addr());
-    if agg.epoch() > 0 {
-        println!("restored checkpoint at epoch {}", agg.epoch());
-    }
     agg.wait();
     println!("shut down cleanly");
     Ok(())

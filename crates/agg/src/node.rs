@@ -20,7 +20,7 @@ use std::time::{Duration, Instant};
 use mhp_core::Candidate;
 use mhp_faults::{FaultHook, PullAction};
 use mhp_net::{Reactor, Waker};
-use mhp_server::protocol::{read_frame, write_frame};
+use mhp_server::protocol::{read_frame_until, write_frame};
 use mhp_server::{
     tenant_of, BreakerPhase, Client, ErrorCode, ProfileData, ProfilerKind, Request, Response,
     ServerError, SessionConfig, SessionInfo, UpstreamHealth,
@@ -801,20 +801,11 @@ fn handle_connection(stream: TcpStream, inner: &Inner) {
     let mut attached: Option<String> = None;
 
     loop {
-        let body = match read_frame(&mut reader) {
+        // `None` is a clean EOF, or shutdown seen at a read timeout, which
+        // also ends a read stalled partway through a frame.
+        let body = match read_frame_until(&mut reader, &inner.shutdown) {
             Ok(Some(body)) => body,
             Ok(None) => return,
-            Err(ServerError::Io(e))
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                if inner.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                continue;
-            }
             Err(err) => {
                 respond(&mut writer, &error_response(&err));
                 return;

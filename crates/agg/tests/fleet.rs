@@ -276,3 +276,28 @@ fn shutdown_request_stops_an_idle_aggregator_promptly() {
     drop(client);
     assert!(returns_within_a_second(move || agg.wait()));
 }
+
+/// A query peer that sends part of a frame and then goes silent does not
+/// hold up shutdown: its handler gives up on the frame at the next read
+/// timeout once shutdown begins, instead of waiting out the stall budget
+/// (300 read timeouts, a minute at the default 200 ms).
+#[test]
+fn join_is_not_held_by_a_peer_stalled_mid_frame() {
+    use std::io::Write;
+    let agg = Aggregator::bind("127.0.0.1:0", AggConfig::default()).unwrap();
+    let mut stalled = std::net::TcpStream::connect(agg.local_addr()).unwrap();
+    // One whole request first, so the handler is up and reading.
+    let body = mhp_server::Request::ListSessions.encode();
+    stalled
+        .write_all(&(body.len() as u32).to_le_bytes())
+        .unwrap();
+    stalled.write_all(&body).unwrap();
+    mhp_server::protocol::read_frame(&mut stalled)
+        .unwrap()
+        .expect("a session listing");
+    // Two bytes of the next length prefix, then silence.
+    stalled.write_all(&[8, 0]).unwrap();
+    std::thread::sleep(Duration::from_millis(100));
+    assert!(returns_within_a_second(move || agg.join()));
+    drop(stalled);
+}

@@ -4,8 +4,8 @@
 //! mhp-bench hotpath [--events N] [--seed S] [--batch B] [--samples K] [--out PATH]
 //! mhp-bench profile [--tool auto|perf|samply] [--events N] [--seed S]
 //!                   [--batch B] [--samples K] [--out PATH]
-//! mhp-bench server  [--sessions LIST] [--threaded-sessions LIST] [--active N]
-//!                   [--events N] [--chunk B] [--out PATH]
+//! mhp-bench server  [--sessions LIST] [--active N] [--events N] [--chunk B]
+//!                   [--out PATH]
 //! mhp-bench fleet   [--servers LIST] [--sessions-per-server N]
 //!                   [--fault-rates LIST] [--events N] [--out PATH]
 //! ```
@@ -37,12 +37,12 @@ fn print_usage() {
          (profile: run the hotpath workload under perf record / samply record;\n\
          \x20default --out is perf.data or profile.json, per tool)\n\
          \n\
-         usage: mhp-bench server [--sessions LIST] [--threaded-sessions LIST]\n\
-         \x20                    [--active N] [--events N] [--chunk B] [--out PATH]\n\
-         defaults: --sessions 8,32,256,1024,2048 --threaded-sessions 8,32\n\
-         \x20         --active 8 --events 100000 --chunk 4096 --out BENCH_server.json\n\
-         (server: concurrent-session scaling, threaded front end vs --event-loop\n\
-         \x20reactor, driven by the multiplexed load generator)\n\
+         usage: mhp-bench server [--sessions LIST] [--active N] [--events N]\n\
+         \x20                    [--chunk B] [--out PATH]\n\
+         defaults: --sessions 8,32,256,1024,2048 --active 8 --events 100000\n\
+         \x20         --chunk 4096 --out BENCH_server.json\n\
+         (server: concurrent-session scaling of the thread-per-connection\n\
+         \x20server, driven by the multiplexed load generator)\n\
          \n\
          usage: mhp-bench fleet [--servers LIST] [--sessions-per-server N]\n\
          \x20                   [--fault-rates LIST] [--events N]\n\
@@ -134,16 +134,9 @@ fn run_server_bench(mut args: std::iter::Skip<std::env::Args>) -> ExitCode {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--sessions" => match args.next().as_deref().and_then(parse_session_list) {
-                Some(list) => opts.event_loop_sessions = list,
+                Some(list) => opts.sessions = list,
                 None => {
                     eprintln!("--sessions needs a comma-separated list of counts");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--threaded-sessions" => match args.next().as_deref().and_then(parse_session_list) {
-                Some(list) => opts.threaded_sessions = list,
-                None => {
-                    eprintln!("--threaded-sessions needs a comma-separated list of counts");
                     return ExitCode::FAILURE;
                 }
             },

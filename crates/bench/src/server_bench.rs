@@ -1,31 +1,28 @@
 //! The `mhp-bench server` runner: concurrent-session scaling of the
-//! profiling service, threaded front end vs the readiness-based event
-//! loop.
+//! profiling service.
 //!
 //! Each row binds a fresh in-process server on an ephemeral loopback
 //! port, drives it with the multiplexed load generator
 //! ([`mhp_server::mux_loadgen`]) at a fixed concurrent-session count — a
 //! small active subset streaming ingest chunks, the rest idling attached,
 //! the fleet-realistic mix — and records acknowledged ingest throughput
-//! plus request round-trip latency quantiles. The threaded mode burns one
-//! OS thread per connection, so its rows stop where that model stops
-//! scaling; the event loop continues into the thousands.
+//! plus request round-trip latency quantiles. The server runs one handler
+//! thread per connection (and each session its shard workers), so the
+//! large rows show what that thread count costs.
 //!
 //! Output is the same hand-rolled stable-key JSON as the other benches
 //! (`BENCH_server.json` at the repo root, by convention).
 
 use std::time::Duration;
 
-use mhp_server::{mux_loadgen, Client, EventLoopConfig, MuxConfig, Server, ServerConfig};
+use mhp_server::{mux_loadgen, Client, MuxConfig, Server, ServerConfig};
 use mhp_telemetry::StageSummary;
 
 /// Knobs for a server-scaling run.
 #[derive(Debug, Clone)]
 pub struct ServerBenchOptions {
-    /// Session counts to run against the threaded front end.
-    pub threaded_sessions: Vec<usize>,
-    /// Session counts to run against the event loop.
-    pub event_loop_sessions: Vec<usize>,
+    /// Concurrent-session counts, one row each.
+    pub sessions: Vec<usize>,
     /// Sessions per row that actively stream (the rest idle attached).
     pub active: usize,
     /// Events each active session streams.
@@ -35,16 +32,15 @@ pub struct ServerBenchOptions {
     /// Per-row wall-clock cap before the run is declared stuck.
     pub deadline: Duration,
     /// Session count for the paired tracing-on/tracing-off overhead
-    /// probe (one pair per mode, run back to back so machine drift
-    /// cancels). `None` skips the probe.
+    /// probe (run back to back so machine drift cancels). `None` skips
+    /// the probe.
     pub overhead_probe_sessions: Option<usize>,
 }
 
 impl Default for ServerBenchOptions {
     fn default() -> Self {
         ServerBenchOptions {
-            threaded_sessions: vec![8, 32],
-            event_loop_sessions: vec![8, 32, 256, 1024, 2048],
+            sessions: vec![8, 32, 256, 1024, 2048],
             active: 8,
             events_per_session: 100_000,
             chunk_events: 4_096,
@@ -54,11 +50,9 @@ impl Default for ServerBenchOptions {
     }
 }
 
-/// One (mode, session-count) measurement.
+/// One session-count measurement.
 #[derive(Debug, Clone)]
 pub struct ServerBenchRow {
-    /// `threaded` or `event-loop`.
-    pub mode: String,
     /// Concurrent sessions held open for the whole row.
     pub sessions: usize,
     /// How many of them streamed events.
@@ -85,8 +79,6 @@ pub struct ServerBenchRow {
 /// One paired tracing-on/tracing-off throughput comparison.
 #[derive(Debug, Clone)]
 pub struct OverheadProbe {
-    /// `threaded` or `event-loop`.
-    pub mode: String,
     /// Concurrent sessions both halves of the pair ran with.
     pub sessions: usize,
     /// Acknowledged throughput with request tracing enabled.
@@ -103,22 +95,15 @@ pub struct OverheadProbe {
 pub struct ServerBenchReport {
     /// Options the run was configured with.
     pub options: ServerBenchOptions,
-    /// One row per (mode, session count), in run order.
+    /// One row per session count, in run order.
     pub rows: Vec<ServerBenchRow>,
-    /// Paired tracing overhead probes, one per mode (empty when the
-    /// probe is disabled).
-    pub overhead: Vec<OverheadProbe>,
+    /// The paired tracing overhead probe, if it ran.
+    pub overhead: Option<OverheadProbe>,
 }
 
-fn bench_one(
-    mode: &str,
-    sessions: usize,
-    opts: &ServerBenchOptions,
-    tracing: bool,
-) -> ServerBenchRow {
+fn bench_one(sessions: usize, opts: &ServerBenchOptions, tracing: bool) -> ServerBenchRow {
     let config = ServerConfig {
         max_connections: sessions + 16,
-        event_loop: (mode == "event-loop").then(EventLoopConfig::default),
         tracing,
         ..ServerConfig::default()
     };
@@ -130,7 +115,7 @@ fn bench_one(
             active: opts.active.min(sessions),
             events_per_session: opts.events_per_session,
             chunk_events: opts.chunk_events,
-            session_prefix: format!("bench-{mode}-{sessions}"),
+            session_prefix: format!("bench-{sessions}"),
             deadline: opts.deadline,
             ..MuxConfig::default()
         },
@@ -138,7 +123,7 @@ fn bench_one(
     .expect("mux loadgen run");
     assert_eq!(
         report.opened, sessions,
-        "{mode}/{sessions}: not every session opened"
+        "{sessions}: not every session opened"
     );
     let stages = server.stage_summaries();
     let mut probe = Client::connect(server.local_addr()).expect("probe connect");
@@ -146,7 +131,6 @@ fn bench_one(
     server.join();
 
     ServerBenchRow {
-        mode: mode.to_string(),
         sessions,
         active: report.active,
         events: report.events,
@@ -160,7 +144,7 @@ fn bench_one(
     }
 }
 
-fn overhead_probe(mode: &str, sessions: usize, opts: &ServerBenchOptions) -> OverheadProbe {
+fn overhead_probe(sessions: usize, opts: &ServerBenchOptions) -> OverheadProbe {
     // Longer runs (4x the row workload) and three interleaved pairs,
     // best-of each side: the table rows finish in ~0.1s, where single
     // runs swing well over 10% on a shared box. Slowdowns are one-sided
@@ -173,11 +157,10 @@ fn overhead_probe(mode: &str, sessions: usize, opts: &ServerBenchOptions) -> Ove
     let mut traced = f64::MIN;
     let mut untraced = f64::MIN;
     for _ in 0..3 {
-        traced = traced.max(bench_one(mode, sessions, &probe_opts, true).events_per_sec);
-        untraced = untraced.max(bench_one(mode, sessions, &probe_opts, false).events_per_sec);
+        traced = traced.max(bench_one(sessions, &probe_opts, true).events_per_sec);
+        untraced = untraced.max(bench_one(sessions, &probe_opts, false).events_per_sec);
     }
     OverheadProbe {
-        mode: mode.to_string(),
         sessions,
         traced_events_per_sec: traced,
         untraced_events_per_sec: untraced,
@@ -185,20 +168,16 @@ fn overhead_probe(mode: &str, sessions: usize, opts: &ServerBenchOptions) -> Ove
     }
 }
 
-/// Runs every configured (mode, session-count) row and collects the table.
+/// Runs every configured session-count row and collects the table.
 pub fn run(opts: &ServerBenchOptions) -> ServerBenchReport {
-    let mut rows = Vec::new();
-    for &sessions in &opts.threaded_sessions {
-        rows.push(bench_one("threaded", sessions, opts, true));
-    }
-    for &sessions in &opts.event_loop_sessions {
-        rows.push(bench_one("event-loop", sessions, opts, true));
-    }
-    let mut overhead = Vec::new();
-    if let Some(sessions) = opts.overhead_probe_sessions {
-        overhead.push(overhead_probe("threaded", sessions, opts));
-        overhead.push(overhead_probe("event-loop", sessions, opts));
-    }
+    let rows = opts
+        .sessions
+        .iter()
+        .map(|&sessions| bench_one(sessions, opts, true))
+        .collect();
+    let overhead = opts
+        .overhead_probe_sessions
+        .map(|sessions| overhead_probe(sessions, opts));
     ServerBenchReport {
         options: opts.clone(),
         rows,
@@ -234,11 +213,10 @@ impl ServerBenchReport {
                 })
                 .collect();
             out.push_str(&format!(
-                "    {{\"mode\": \"{}\", \"sessions\": {}, \"active\": {}, \
+                "    {{\"sessions\": {}, \"active\": {}, \
                  \"events\": {}, \"errors\": {}, \"elapsed_secs\": {:.3}, \
                  \"events_per_sec\": {:.0}, \"p50_us\": {}, \"p99_us\": {}, \
                  \"p999_us\": {},\n     \"stages\": [{}]}}{}\n",
-                r.mode,
                 r.sessions,
                 r.active,
                 r.events,
@@ -253,33 +231,26 @@ impl ServerBenchReport {
             ));
         }
         out.push_str("  ],\n");
-        out.push_str("  \"tracing_overhead\": [\n");
-        for (i, p) in self.overhead.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"mode\": \"{}\", \"sessions\": {}, \
+        match &self.overhead {
+            Some(p) => out.push_str(&format!(
+                "  \"tracing_overhead\": {{\"sessions\": {}, \
                  \"traced_events_per_sec\": {:.0}, \
                  \"untraced_events_per_sec\": {:.0}, \
-                 \"overhead_pct\": {:.2}}}{}\n",
-                p.mode,
-                p.sessions,
-                p.traced_events_per_sec,
-                p.untraced_events_per_sec,
-                p.overhead_pct,
-                if i + 1 == self.overhead.len() {
-                    ""
-                } else {
-                    ","
-                }
-            ));
+                 \"overhead_pct\": {:.2}}}\n",
+                p.sessions, p.traced_events_per_sec, p.untraced_events_per_sec, p.overhead_pct,
+            )),
+            None => out.push_str("  \"tracing_overhead\": null\n"),
         }
-        out.push_str("  ]\n}\n");
+        out.push_str("}\n");
         out
     }
 
-    /// Whether every tracing-overhead probe came in under `threshold_pct`.
+    /// Whether the tracing-overhead probe came in under `threshold_pct`.
     /// Vacuously true when the probe was disabled.
     pub fn overhead_ok(&self, threshold_pct: f64) -> bool {
-        self.overhead.iter().all(|p| p.overhead_pct < threshold_pct)
+        self.overhead
+            .as_ref()
+            .is_none_or(|p| p.overhead_pct < threshold_pct)
     }
 
     /// Human-readable table for the terminal.
@@ -290,17 +261,17 @@ impl ServerBenchReport {
             self.options.active, self.options.events_per_session, self.options.chunk_events
         ));
         out.push_str(&format!(
-            "{:<12} {:>8} {:>12} {:>9} {:>9} {:>9} {:>7}\n",
-            "mode", "sessions", "events/sec", "p50_us", "p99_us", "p999_us", "errors"
+            "{:>8} {:>12} {:>9} {:>9} {:>9} {:>7}\n",
+            "sessions", "events/sec", "p50_us", "p99_us", "p999_us", "errors"
         ));
         for r in &self.rows {
             out.push_str(&format!(
-                "{:<12} {:>8} {:>12.0} {:>9} {:>9} {:>9} {:>7}\n",
-                r.mode, r.sessions, r.events_per_sec, r.p50_us, r.p99_us, r.p999_us, r.errors
+                "{:>8} {:>12.0} {:>9} {:>9} {:>9} {:>7}\n",
+                r.sessions, r.events_per_sec, r.p50_us, r.p99_us, r.p999_us, r.errors
             ));
         }
         for r in &self.rows {
-            out.push_str(&format!("stages {}/{}:\n", r.mode, r.sessions));
+            out.push_str(&format!("stages {} sessions:\n", r.sessions));
             for s in &r.stages {
                 out.push_str(&format!(
                     "  {:<16} count {:>8} p50_us {:>7} p99_us {:>7} p999_us {:>7}\n",
@@ -308,10 +279,9 @@ impl ServerBenchReport {
                 ));
             }
         }
-        for p in &self.overhead {
+        if let Some(p) = &self.overhead {
             out.push_str(&format!(
-                "tracing overhead {}/{}: {:.2}% (traced {:.0} ev/s vs untraced {:.0} ev/s) {}\n",
-                p.mode,
+                "tracing overhead at {} sessions: {:.2}% (traced {:.0} ev/s vs untraced {:.0} ev/s) {}\n",
                 p.sessions,
                 p.overhead_pct,
                 p.traced_events_per_sec,
@@ -328,10 +298,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn tiny_run_produces_rows_for_both_modes() {
+    fn tiny_run_produces_one_row_per_session_count() {
         let opts = ServerBenchOptions {
-            threaded_sessions: vec![2],
-            event_loop_sessions: vec![4],
+            sessions: vec![2, 4],
             active: 2,
             events_per_session: 4_096,
             chunk_events: 4_096,
@@ -339,11 +308,10 @@ mod tests {
             overhead_probe_sessions: None,
         };
         let report = run(&opts);
-        assert_eq!(report.rows.len(), 2);
-        assert_eq!(report.rows[0].mode, "threaded");
-        assert_eq!(report.rows[1].mode, "event-loop");
+        let sessions: Vec<usize> = report.rows.iter().map(|r| r.sessions).collect();
+        assert_eq!(sessions, [2, 4]);
         for row in &report.rows {
-            assert!(row.events > 0, "{}: no events acked", row.mode);
+            assert!(row.events > 0, "{}: no events acked", row.sessions);
             assert!(row.events_per_sec > 0.0);
             assert!(row.p999_us >= row.p99_us);
             let ingest = row
@@ -351,26 +319,25 @@ mod tests {
                 .iter()
                 .find(|s| s.stage == "ingest")
                 .expect("ingest stage summary");
-            assert!(ingest.count > 0, "{}: no traced ingests", row.mode);
+            assert!(ingest.count > 0, "{}: no traced ingests", row.sessions);
             assert_eq!(row.stages.last().map(|s| s.stage), Some("total"));
         }
-        assert!(report.overhead.is_empty());
+        assert!(report.overhead.is_none());
         assert!(report.overhead_ok(5.0), "vacuous with probe disabled");
         let json = report.to_json();
         assert!(json.contains("\"benchmark\": \"server\""));
-        assert!(json.contains("\"mode\": \"event-loop\""));
+        assert!(json.contains("\"sessions\": 4"));
         assert!(json.contains("\"p999_us\""));
         assert!(json.contains("\"stage\": \"ingest\""));
-        assert!(json.contains("\"tracing_overhead\": ["));
-        assert!(report.render().contains("event-loop"));
+        assert!(json.contains("\"tracing_overhead\": null"));
+        assert!(report.render().contains("stages 4 sessions:"));
         assert!(report.render().contains("p999_us"));
     }
 
     #[test]
     fn overhead_probe_pairs_traced_and_untraced_runs() {
         let opts = ServerBenchOptions {
-            threaded_sessions: vec![],
-            event_loop_sessions: vec![],
+            sessions: vec![],
             active: 2,
             events_per_session: 4_096,
             chunk_events: 4_096,
@@ -379,14 +346,11 @@ mod tests {
         };
         let report = run(&opts);
         assert!(report.rows.is_empty());
-        assert_eq!(report.overhead.len(), 2);
-        assert_eq!(report.overhead[0].mode, "threaded");
-        assert_eq!(report.overhead[1].mode, "event-loop");
-        for probe in &report.overhead {
-            assert!(probe.traced_events_per_sec > 0.0);
-            assert!(probe.untraced_events_per_sec > 0.0);
-            assert!(probe.overhead_pct.is_finite());
-        }
+        let probe = report.overhead.as_ref().expect("probe ran");
+        assert_eq!(probe.sessions, 2);
+        assert!(probe.traced_events_per_sec > 0.0);
+        assert!(probe.untraced_events_per_sec > 0.0);
+        assert!(probe.overhead_pct.is_finite());
         assert!(report.to_json().contains("\"overhead_pct\""));
     }
 }

@@ -1,20 +1,16 @@
-//! # mhp-net — dependency-free readiness-based event loop
+//! # mhp-net — dependency-free readiness reactor
 //!
-//! The building blocks that let one thread hold thousands of profiling
-//! connections: a [`Reactor`] multiplexing nonblocking sockets over
-//! `poll(2)` (declared by direct FFI against the libc every binary
-//! already links — no external crates), a [`Waker`] for cross-thread
-//! loop interrupts, a hashed [`TimerWheel`] for per-connection deadlines,
-//! a [`Conn`] trait for per-connection state machines, and a
-//! generation-tagged [`Slab`] to own them.
+//! A [`Reactor`] multiplexing nonblocking sockets over `poll(2)`
+//! (declared by direct FFI against the libc every binary already links —
+//! no external crates), and a [`Waker`] that interrupts a blocked poll
+//! from another thread.
 //!
 //! The crate is deliberately mechanism-only: it knows nothing about the
-//! profiling wire protocol. mhp-server composes these pieces into its
-//! `--event-loop` front end; the loadgen in mhp-client reuses the same
-//! reactor to multiplex thousands of client sessions; and
+//! profiling wire protocol. Two kinds of caller build on it:
 //! [`accept_until`] gives thread-per-connection servers (mhp-server's
-//! threaded front end, mhp-agg's query plane) an accept loop that blocks
-//! until a connection or a shutdown wake arrives.
+//! front end, mhp-agg's query plane) an accept loop that blocks until a
+//! connection or a shutdown wake arrives, and mhp-server's multiplexed
+//! load generator drives thousands of client sessions from one thread.
 //!
 //! ## Shape of a loop
 //!
@@ -37,7 +33,7 @@
 //!         if event.token == LISTENER {
 //!             // accept until WouldBlock, register each conn …
 //!         } else {
-//!             // route to the Conn state machine behind event.token …
+//!             // drive the connection behind event.token …
 //!         }
 //!     }
 //! }
@@ -51,12 +47,8 @@
 #![warn(missing_debug_implementations)]
 
 mod accept;
-mod conn;
 mod reactor;
 mod sys;
-mod timer;
 
 pub use accept::accept_until;
-pub use conn::{Conn, Slab, Step};
 pub use reactor::{Event, Interest, Reactor, Token, Waker};
-pub use timer::TimerWheel;

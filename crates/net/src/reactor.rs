@@ -9,9 +9,9 @@
 //! kernel `revents` into [`Event`]s.
 //!
 //! A [`Waker`] lets other threads interrupt a blocked `poll` (the classic
-//! self-pipe trick, here a `UnixStream` pair so no FFI is needed): worker
-//! threads finish a job, push the result somewhere shared, and
-//! [`wake`](Waker::wake) the loop to come collect it. Wakeups are
+//! self-pipe trick, here a `UnixStream` pair so no FFI is needed): a
+//! thread that begins a shutdown raises its flag, then
+//! [`wake`](Waker::wake)s the loop so it observes the flag now. Wakeups are
 //! level-coalesced — a thousand `wake` calls while the loop is busy cost
 //! one pipe byte and one drain.
 

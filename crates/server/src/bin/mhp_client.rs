@@ -39,8 +39,8 @@ commands:
                   (--sessions N switches to the multiplexed generator:
                    N concurrent sessions over nonblocking connections on
                    one thread, --active of them streaming --events each,
-                   the rest idling attached — pair with a server running
-                   --event-loop)
+                   the rest idling attached — start the server with
+                   --max-conns above N)
   verify          --addr A [--stream B:K:S] [--events N] [--profiler P]
                   [--shards N] [--interval-len N] [--threshold F] [--seed S]
                   [--retries N]

@@ -2,14 +2,15 @@
 //!
 //! ```text
 //! mhp-server --addr 127.0.0.1:7070 [--max-conns 32] [--read-timeout-ms 200]
-//!            [--write-timeout-ms 30000] [--event-loop] [--workers N]
+//!            [--write-timeout-ms 30000]
 //!            [--metrics-export PATH] [--metrics-export-interval-ms 10000]
 //!            [--state-dir DIR] [--checkpoint-interval-ms 5000]
 //!            [--overload-conns N] [--fault-plan SPEC] [--fault-seed N]
 //! ```
 //!
 //! Prints `listening on ADDR` once bound (an ephemeral `:0` port resolves
-//! to the real one), then serves until a client sends `shutdown`. With
+//! to the real one), then serves, one thread per connection, until a
+//! client sends `shutdown`. With
 //! `--state-dir`, sessions are checkpointed there periodically and
 //! restored on the next start (`restored N session(s)` is printed).
 
@@ -25,17 +26,13 @@ usage: mhp-server [options]
 options:
   --addr A             listen address (default 127.0.0.1:7070; use :0 for
                        an ephemeral port)
-  --max-conns N        concurrent connection limit (default 32 threaded,
-                       10000 with --event-loop)
-  --read-timeout-ms N  per-connection read timeout (default 200)
-  --write-timeout-ms N per-connection write timeout in threaded mode
-                       (default 30000); the event loop bounds writes with
-                       its write buffer instead
-  --event-loop         serve every connection from one readiness-based
-                       reactor thread plus a small worker pool instead of
-                       one thread per connection; required for thousands
-                       of concurrent clients
-  --workers N          sketch worker threads for --event-loop (default 2)
+  --max-conns N        concurrent connection limit, one handler thread
+                       each (default 32; raise it for thousands of
+                       concurrent clients)
+  --read-timeout-ms N  per-connection read timeout (default 200); after
+                       shutdown begins, a silent peer is dropped within one
+                       read timeout
+  --write-timeout-ms N per-connection write timeout (default 30000)
   --metrics-export P   append periodic JSONL metric snapshots to file P
                        (off by default; a final snapshot is written at
                        shutdown)
@@ -73,9 +70,6 @@ fn run(args: &[String]) -> Result<(), String> {
     let mut config = ServerConfig::default();
     let mut fault_plan: Option<String> = None;
     let mut fault_seed = 0u64;
-    let mut event_loop = false;
-    let mut workers: Option<usize> = None;
-    let mut max_conns_set = false;
     let mut iter = args.iter();
     while let Some(flag) = iter.next() {
         let mut value = |name: &str| -> Result<String, String> {
@@ -89,7 +83,6 @@ fn run(args: &[String]) -> Result<(), String> {
                 config.max_connections = value("max-conns")?
                     .parse()
                     .map_err(|_| "--max-conns needs a number".to_string())?;
-                max_conns_set = true;
             }
             "--read-timeout-ms" => {
                 let ms: u64 = value("read-timeout-ms")?
@@ -102,14 +95,6 @@ fn run(args: &[String]) -> Result<(), String> {
                     .parse()
                     .map_err(|_| "--write-timeout-ms needs a number".to_string())?;
                 config.write_timeout = Duration::from_millis(ms.max(1));
-            }
-            "--event-loop" => event_loop = true,
-            "--workers" => {
-                workers = Some(
-                    value("workers")?
-                        .parse()
-                        .map_err(|_| "--workers needs a number".to_string())?,
-                );
             }
             "--metrics-export" => {
                 config.metrics_export_path = Some(value("metrics-export")?.into());
@@ -163,20 +148,6 @@ fn run(args: &[String]) -> Result<(), String> {
     if let Some(spec) = fault_plan {
         let plan = FaultPlan::parse(&spec, fault_seed).map_err(|e| e.to_string())?;
         config.fault_hook = Some(plan.arm());
-    }
-    if event_loop {
-        let mut el = mhp_server::EventLoopConfig::default();
-        if let Some(n) = workers {
-            el.workers = n.max(1);
-        }
-        config.event_loop = Some(el);
-        // One reactor thread holds every socket, so the sensible default
-        // ceiling is "lots", not the threaded mode's thread-count guard.
-        if !max_conns_set {
-            config.max_connections = 10_000;
-        }
-    } else if workers.is_some() {
-        return Err("--workers only applies with --event-loop".to_string());
     }
 
     let server = Server::bind(addr.as_str(), config).map_err(|e| e.to_string())?;

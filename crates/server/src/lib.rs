@@ -21,8 +21,10 @@
 //! verbatim, CRC and all, so recorded trace files replay onto a server
 //! without re-encoding.
 //!
-//! The `mhp-server` binary serves; the `mhp-client` binary records,
-//! queries, verifies and load-tests. See [`protocol`] for the wire format.
+//! The `mhp-server` binary serves, one handler thread per connection; the
+//! `mhp-client` binary records, queries, verifies and load-tests (its
+//! multiplexed generator, [`mux_loadgen`], holds thousands of sessions
+//! from one thread). See [`protocol`] for the wire format.
 //!
 //! ## Quick example
 //!
@@ -57,7 +59,6 @@
 
 pub mod client;
 pub mod error;
-pub mod event_loop;
 pub mod metrics;
 pub mod mux;
 pub mod protocol;
@@ -68,7 +69,6 @@ pub use client::{
     RetryPolicy, StageLatency,
 };
 pub use error::{ErrorCode, ServerError};
-pub use event_loop::EventLoopConfig;
 pub use metrics::{stat_value, Counter, Gauge, Histogram, Metrics};
 pub use mux::{mux_loadgen, MuxConfig, MuxReport};
 pub use protocol::{

@@ -30,10 +30,9 @@ macro_rules! server_metrics {
             registry: Registry,
             $(#[doc = $doc] pub $field: $kind,)+
             /// Latency of each request in microseconds, from the start of
-            /// frame decode until the reply is written (the event loop:
-            /// until its synchronous flush returns). Only requests whose
-            /// whole reply was sent count; torn replies and failed writes
-            /// do not.
+            /// frame decode until the reply is written. Only requests
+            /// whose whole reply was sent count; torn replies and failed
+            /// writes do not.
             pub request_latency: Histogram,
             /// Time spent decoding each ingested chunk, in microseconds.
             pub chunk_decode: Histogram,

@@ -1,8 +1,9 @@
 //! Multiplexed load generation: thousands of concurrent client sessions
 //! driven by one thread over nonblocking connections and an
-//! [`mhp_net::Reactor`] — the client-side mirror of the server's event
-//! loop, and the engine behind `mhp-client loadgen --sessions` and
-//! `mhp-bench server`.
+//! [`mhp_net::Reactor`], reading replies with a [`FrameDecoder`]. It is
+//! the engine behind `mhp-client loadgen --sessions`, `mhp-bench server`
+//! and the c10k smoke; the server holds each session on its own handler
+//! thread, so its `max_connections` must exceed the session count.
 //!
 //! Each connection runs a tiny state machine: open a named session, then
 //! either stream ingest chunks request-by-request (an *active* session)

@@ -23,6 +23,7 @@
 //! re-encoding (and the CRC travels with the data, end to end).
 
 use std::io::{Read, Write};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use mhp_core::{Candidate, Tuple};
 
@@ -34,10 +35,10 @@ use crate::error::{ErrorCode, ServerError};
 pub const MAX_FRAME_BYTES: usize = mhp_pipeline::MAX_CHUNK_BYTES + 64;
 
 /// Read-timeout periods a peer may stay silent partway through a frame
-/// before it is declared stalled — [`read_frame`]'s retry budget and the
-/// event loop's stall timer alike. With the server's read timeout this
-/// bounds a half-written frame to roughly a minute, instead of forever.
-pub(crate) const MAX_MID_FRAME_TIMEOUTS: u32 = 300;
+/// before it is declared stalled: [`read_frame`]'s retry budget. With the
+/// server's read timeout this bounds a half-written frame to roughly a
+/// minute, instead of forever.
+const MAX_MID_FRAME_TIMEOUTS: u32 = 300;
 
 /// Which profiler architecture a session runs; the wire form of
 /// [`mhp_pipeline::ProfilerSpec`] (always the paper's best configuration).
@@ -895,10 +896,37 @@ pub fn write_frame(writer: &mut impl Write, body: &[u8]) -> Result<(), ServerErr
 /// over [`MAX_FRAME_BYTES`] (rejected before allocation), or truncation
 /// inside a frame.
 pub fn read_frame(reader: &mut impl Read) -> Result<Option<Vec<u8>>, ServerError> {
-    // Fills `buf` completely. `frame_started` distinguishes an idle
-    // timeout at a frame boundary (surfaced to the caller, no bytes lost)
-    // from a timeout mid-frame (retried here, because returning would
-    // drop the bytes already consumed and desync the stream).
+    read_frame_inner(reader, None)
+}
+
+/// The serving side of [`read_frame`], for a handler reading one request
+/// frame at a time off a socket with a read timeout. Idle read timeouts
+/// between frames are waited out here rather than surfaced, and every read
+/// timeout checks `stop`: once it reads `true`, the read returns `None`,
+/// abandoning any partial frame, so a handler stops waiting on a silent
+/// peer within one read timeout of a shutdown. Until then a peer silent
+/// partway through a frame gets 300 read timeouts before it is declared
+/// stalled.
+///
+/// # Errors
+///
+/// As [`read_frame`], except that read timeouts are never surfaced.
+pub fn read_frame_until(
+    reader: &mut impl Read,
+    stop: &AtomicBool,
+) -> Result<Option<Vec<u8>>, ServerError> {
+    read_frame_inner(reader, Some(stop))
+}
+
+fn read_frame_inner(
+    reader: &mut impl Read,
+    stop: Option<&AtomicBool>,
+) -> Result<Option<Vec<u8>>, ServerError> {
+    // Fills `buf` completely; `false` means stop reading (a clean EOF at a
+    // frame boundary, or `stop` raised). `frame_started` distinguishes an
+    // idle timeout at a frame boundary (no bytes lost) from a timeout
+    // mid-frame (retried here, because returning would drop the bytes
+    // already consumed and desync the stream).
     let mut fill = |buf: &mut [u8],
                     mut frame_started: bool,
                     what: &'static str|
@@ -921,12 +949,16 @@ pub fn read_frame(reader: &mut impl Read) -> Result<Option<Vec<u8>>, ServerError
                         std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
                     ) =>
                 {
-                    if filled == 0 && !frame_started {
-                        return Err(ServerError::Io(e)); // idle at a boundary
+                    match stop {
+                        Some(stop) if stop.load(Ordering::SeqCst) => return Ok(false),
+                        None if !frame_started => return Err(ServerError::Io(e)), // idle
+                        _ => {}
                     }
-                    timeouts += 1;
-                    if timeouts > MAX_MID_FRAME_TIMEOUTS {
-                        return Err(ServerError::protocol("peer stalled mid-frame"));
+                    if frame_started {
+                        timeouts += 1;
+                        if timeouts > MAX_MID_FRAME_TIMEOUTS {
+                            return Err(ServerError::protocol("peer stalled mid-frame"));
+                        }
                     }
                 }
                 Err(e) => return Err(ServerError::Io(e)),
@@ -944,15 +976,19 @@ pub fn read_frame(reader: &mut impl Read) -> Result<Option<Vec<u8>>, ServerError
         return Err(ServerError::protocol("peer declared an oversized frame"));
     }
     let mut body = vec![0u8; len];
-    fill(&mut body, true, "frame truncated in body")?;
+    if !fill(&mut body, true, "frame truncated in body")? {
+        return Ok(None);
+    }
     Ok(Some(body))
 }
 
 /// Incremental frame decoder for nonblocking connections: bytes go in as
 /// they arrive off the socket, complete frame bodies come out. This is the
-/// event-loop counterpart of [`read_frame`] — where the blocking reader
-/// parks the thread until a frame completes, the decoder buffers a partial
-/// frame across readiness events and resumes mid-frame on the next one.
+/// readiness-driven counterpart of [`read_frame`], and what the
+/// multiplexed load generator ([`crate::mux_loadgen`]) reads replies with:
+/// where the blocking reader parks the thread until a frame completes, the
+/// decoder buffers a partial frame across readiness events and resumes
+/// mid-frame on the next one.
 ///
 /// The declared length is validated against [`MAX_FRAME_BYTES`] as soon as
 /// the 4-byte prefix is available, before the body is buffered, so an
@@ -1247,6 +1283,48 @@ mod tests {
             read_frame(&mut &wire[..4]).is_err(),
             "prefix only, body missing"
         );
+    }
+
+    /// A socket that hands out `bytes`, then reports a read timeout on
+    /// every read after, counting them.
+    struct Stalling<'a> {
+        bytes: &'a [u8],
+        timeouts: u32,
+    }
+
+    impl Read for Stalling<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            if self.bytes.is_empty() {
+                self.timeouts += 1;
+                return Err(std::io::ErrorKind::TimedOut.into());
+            }
+            let n = buf.len().min(self.bytes.len());
+            buf[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn read_frame_until_keeps_the_stall_budget_until_stopped() {
+        let running = AtomicBool::new(false);
+        let mut stalled = Stalling {
+            bytes: &[8, 0],
+            timeouts: 0,
+        };
+        let err = read_frame_until(&mut stalled, &running).unwrap_err();
+        assert!(
+            err.wire_message().ends_with("peer stalled mid-frame"),
+            "{err}"
+        );
+        assert_eq!(stalled.timeouts, MAX_MID_FRAME_TIMEOUTS + 1);
+
+        let stopped = AtomicBool::new(true);
+        for bytes in [&[][..], &[8, 0]] {
+            let mut quiet = Stalling { bytes, timeouts: 0 };
+            assert!(read_frame_until(&mut quiet, &stopped).unwrap().is_none());
+            assert_eq!(quiet.timeouts, 1, "gives up at the first timeout");
+        }
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! The profiling service itself: a TCP listener, a fixed thread pool of
-//! connection handlers, and a registry of named sessions, each wrapping a
+//! The profiling service itself: a TCP listener, one handler thread per
+//! accepted connection, and a registry of named sessions, each wrapping a
 //! live [`EngineSession`].
 //!
 //! ## Session lifecycle
@@ -13,10 +13,13 @@
 //!
 //! ## Robustness
 //!
-//! * Connections past `max_connections` receive a `busy` error response
-//!   and are closed immediately — a graceful rejection, not a hang.
-//! * Reads carry a timeout so a silent peer cannot pin a pool thread
-//!   forever; each timeout re-checks the shutdown flag.
+//! * Connections past `max_connections` receive a retryable `overloaded`
+//!   error response and are closed immediately — a graceful rejection,
+//!   not a hang.
+//! * Reads carry a timeout, and each timeout re-checks the shutdown flag,
+//!   so once shutdown begins a handler stops waiting on a silent peer —
+//!   idle between requests or stalled partway through a frame — within
+//!   one read timeout.
 //! * The accept loop blocks in an [`mhp_net::Reactor`] until a connection
 //!   arrives or shutdown wakes it, so an idle server spends no CPU and a
 //!   new connection waits on nothing.
@@ -64,28 +67,23 @@ use mhp_pipeline::{
 use crate::error::{ErrorCode, ServerError};
 use crate::metrics::{Counter, Metrics};
 use crate::protocol::{
-    read_frame, ProfileData, ProfilerKind, Request, Response, SessionConfig, SessionInfo,
+    read_frame_until, ProfileData, ProfilerKind, Request, Response, SessionConfig, SessionInfo,
     MAX_NAME_BYTES,
 };
 
 /// Tuning for a [`Server`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Connections served concurrently; one pool thread each in threaded
-    /// mode, a slab cap in event-loop mode.
+    /// Connections served concurrently, one handler thread each; an
+    /// arrival past the limit gets a retryable `overloaded` rejection.
     pub max_connections: usize,
     /// Per-connection read timeout. Idle connections wake at this cadence
     /// to observe the shutdown flag.
     pub read_timeout: Duration,
-    /// Per-connection write timeout in threaded mode, so a stalled client
-    /// that stops draining its socket cannot pin a handler thread forever
-    /// mid-response. (The event loop never blocks on writes; it bounds
-    /// write buffers instead.)
+    /// Per-connection write timeout, so a stalled client that stops
+    /// draining its socket cannot pin a handler thread forever
+    /// mid-response.
     pub write_timeout: Duration,
-    /// When set, the server runs its readiness-based event loop (one
-    /// socket thread multiplexing every connection over `poll(2)` plus a
-    /// small worker pool) instead of a thread per connection.
-    pub event_loop: Option<crate::event_loop::EventLoopConfig>,
     /// When set, a background thread appends one JSON metrics snapshot per
     /// [`metrics_export_interval`](Self::metrics_export_interval) to this
     /// file (JSONL), plus a final snapshot at shutdown.
@@ -134,27 +132,22 @@ pub struct ServerConfig {
 pub const SERVER_STAGES: &[&str] = &[
     "admission_wait",
     "frame_decode",
-    "queue_wait",
     "dispatch",
     "ingest",
     "reply_write",
 ];
 
-/// Waiting for admission: parked time before the event loop admits a
-/// connection, or the threaded front end's ingest admission check.
-pub(crate) const STAGE_ADMISSION_WAIT: usize = 0;
+/// The ingest admission check against the connection watermark.
+const STAGE_ADMISSION_WAIT: usize = 0;
 /// Decoding the request frame into a [`Request`].
-pub(crate) const STAGE_FRAME_DECODE: usize = 1;
-/// Sitting in the event loop's worker queue (always 0 in threaded mode,
-/// where the connection thread runs the request itself).
-pub(crate) const STAGE_QUEUE_WAIT: usize = 2;
+const STAGE_FRAME_DECODE: usize = 1;
 /// Handing ingest batches to the shard rings, blocking stalls included.
-pub(crate) const STAGE_DISPATCH: usize = 3;
+const STAGE_DISPATCH: usize = 2;
 /// Engine ingest: chunk decode, partition, and sketch updates, minus the
 /// ring handoff counted under `dispatch`.
-pub(crate) const STAGE_INGEST: usize = 4;
-/// Writing (threaded) or synchronously flushing (event loop) the response.
-pub(crate) const STAGE_REPLY_WRITE: usize = 5;
+const STAGE_INGEST: usize = 3;
+/// Writing the reply to the socket.
+const STAGE_REPLY_WRITE: usize = 4;
 
 /// Per-tenant admission quotas, enforced when the request arrives —
 /// rejections are typed [`ErrorCode::QuotaExceeded`] responses and count
@@ -207,7 +200,6 @@ impl Default for ServerConfig {
             max_connections: 32,
             read_timeout: Duration::from_millis(200),
             write_timeout: Duration::from_secs(30),
-            event_loop: None,
             metrics_export_path: None,
             metrics_export_interval: Duration::from_secs(10),
             state_dir: None,
@@ -222,7 +214,7 @@ impl Default for ServerConfig {
 }
 
 /// One named, server-resident profiling session.
-pub(crate) struct Session {
+struct Session {
     config: SessionConfig,
     /// The session's tenant, derived from its name once at open/restore.
     tenant: String,
@@ -337,7 +329,7 @@ impl Session {
 /// A connection's hold on a session. The count is what shields a session
 /// from eviction, so the hold is released in `Drop` — every exit path of
 /// the connection handler, clean or not, decrements it.
-pub(crate) struct Attachment {
+struct Attachment {
     name: String,
     session: Arc<Session>,
 }
@@ -486,10 +478,10 @@ impl Tenancy {
 }
 
 /// Shared state every connection handler sees.
-pub(crate) struct Shared {
-    pub(crate) config: ServerConfig,
+struct Shared {
+    config: ServerConfig,
     sessions: Registry,
-    pub(crate) metrics: Metrics,
+    metrics: Metrics,
     durability: Durability,
     tenancy: Tenancy,
     /// Engine metric handles every session's engine reports through; on
@@ -500,11 +492,11 @@ pub(crate) struct Shared {
     sketch_sink: Arc<dyn IntrospectionSink>,
     /// Per-request stage tracing: histograms and the sample reservoirs
     /// behind the `traces` query.
-    pub(crate) tracer: Tracer,
+    tracer: Tracer,
     /// Zero point for session last-touch timestamps.
     epoch: Instant,
     /// Raised once by [`Shared::begin_shutdown`]; every loop polls it.
-    pub(crate) shutdown: AtomicBool,
+    shutdown: AtomicBool,
     /// Wakes the accept thread's reactor, which blocks until a connection
     /// arrives or this fires.
     waker: Waker,
@@ -514,7 +506,7 @@ impl Shared {
     /// The one way to stop the server: raise the shutdown flag, then wake
     /// the accept thread so it observes the flag now rather than at the
     /// next connection.
-    pub(crate) fn begin_shutdown(&self) {
+    fn begin_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
         self.waker.wake();
     }
@@ -594,11 +586,8 @@ impl Server {
         });
 
         let accept_shared = Arc::clone(&shared);
-        let accept_handle = if shared.config.event_loop.is_some() {
-            std::thread::spawn(move || crate::event_loop::run(&listener, &accept_shared, reactor))
-        } else {
-            std::thread::spawn(move || accept_loop(&listener, &accept_shared, reactor))
-        };
+        let accept_handle =
+            std::thread::spawn(move || accept_loop(&listener, &accept_shared, reactor));
 
         Ok(RunningServer {
             local_addr,
@@ -1037,10 +1026,10 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, reactor: Reactor) {
     drain_sessions(shared);
 }
 
-/// Final session teardown, shared by both front ends: checkpoint every
-/// session while its engine is still live (when a state dir is
-/// configured), then join its shard workers.
-pub(crate) fn drain_sessions(shared: &Shared) {
+/// Final session teardown: checkpoint every session while its engine is
+/// still live (when a state dir is configured), then join its shard
+/// workers.
+fn drain_sessions(shared: &Shared) {
     let sessions: Vec<(String, Arc<Session>)> = {
         let mut registry = shared.sessions.lock().expect("registry lock poisoned");
         registry.drain().collect()
@@ -1059,7 +1048,7 @@ pub(crate) fn drain_sessions(shared: &Shared) {
 /// instead of giving up (being at the connection cap is transient by
 /// nature). The write is bounded: a peer that cannot even absorb one tiny
 /// frame is not worth waiting on.
-pub(crate) fn reject_overloaded(mut stream: TcpStream) {
+fn reject_overloaded(mut stream: TcpStream) {
     let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
     let _ = stream.write_all(&error_frame(
         ErrorCode::Overloaded,
@@ -1067,8 +1056,27 @@ pub(crate) fn reject_overloaded(mut stream: TcpStream) {
     ));
 }
 
-/// Serves one connection until EOF, a protocol violation, or shutdown:
-/// blocking reads and writes around the shared request path.
+/// The one encoder of error replies: a whole `Response::Error` frame.
+fn error_frame(code: ErrorCode, message: String) -> Vec<u8> {
+    Response::Error { code, message }.encode_frame()
+}
+
+/// Serves one connection until EOF, a protocol violation, or shutdown,
+/// with blocking reads and writes. Each frame becomes a request, the
+/// request becomes reply bytes, and the reply is written whole:
+///
+/// * A framing error (an oversized or truncated frame, a peer stalled
+///   mid-frame) or a malformed body is a protocol error: error reply,
+///   then close. Once shutdown begins, a new request is refused with
+///   `shutting-down`.
+/// * The trace is named for the decoded opcode and takes the decode time
+///   as lead. The connection fault hook may cut the connection before the
+///   request applies (`Drop`: a replayed chunk must then be re-applied) or
+///   apply it and tear the reply (`TruncateResponse`: the replay must then
+///   dedup); together they cover both halves of idempotent resume.
+/// * A handler error becomes a `Response::Error` counted in
+///   `errors_total`. Only a reply written whole finishes the trace and
+///   records `request_latency`, from the start of frame decode.
 fn handle_connection(mut stream: TcpStream, shared: &Shared) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(shared.config.read_timeout));
@@ -1084,173 +1092,76 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) {
     // session back to the eviction sweep.
     let mut attached: Option<Attachment> = None;
 
-    loop {
-        let frame = match read_frame(&mut reader).transpose() {
-            None => return, // clean EOF
-            Some(Err(ServerError::Io(e)))
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                continue;
-            }
-            Some(frame) => frame,
-        };
-        let (request, ticket) = match start_request(frame, shared) {
-            Start::Run(request, ticket) => (request, ticket),
-            Start::Close(reply) => {
-                if let Some(reply) = reply {
-                    let _ = stream.write_all(&reply);
-                }
+    // `None` is a clean EOF, or shutdown seen at a read timeout.
+    while let Some(frame) = read_frame_until(&mut reader, &shared.shutdown).transpose() {
+        let body = match frame {
+            Ok(body) => body,
+            Err(err) => {
+                shared.metrics.protocol_errors.incr();
+                let _ = stream.write_all(&error_frame(err.code(), err.wire_message()));
                 return;
             }
         };
-        let reply = respond(request, &mut attached, shared, &ticket);
-        let write_timer = ticket.trace.stage(STAGE_REPLY_WRITE);
-        let written = stream.write_all(&reply).is_ok();
-        write_timer.finish();
-        if !ticket.complete(written, shared) {
+        if shared.shutdown.load(Ordering::SeqCst) {
+            let _ = stream.write_all(&error_frame(
+                ErrorCode::ShuttingDown,
+                "server is shutting down".into(),
+            ));
             return;
         }
-    }
-}
-
-// The request path. Both front ends run every request through these three
-// steps — frame to request, request to reply bytes, completion — and keep
-// only their socket I/O: blocking reads (`handle_connection`) or readiness
-// plus a worker queue (`event_loop`).
-
-/// A running request's bookkeeping, from frame decode to completion.
-pub(crate) struct Ticket {
-    /// The request's stage trace; front ends time their own stages on it.
-    pub(crate) trace: Trace,
-    /// When frame decode began: the start of the `request_latency` span.
-    started: Instant,
-    /// Injected fault: send half the reply frame, then hang up.
-    torn: bool,
-}
-
-/// What a front end does with one received frame.
-pub(crate) enum Start {
-    /// Run the request with [`respond`], send the reply, then
-    /// [`complete`](Ticket::complete) the ticket.
-    Run(Request, Ticket),
-    /// Send this reply, if any, then close the connection.
-    Close(Option<Vec<u8>>),
-}
-
-/// The one encoder of error replies: a whole `Response::Error` frame.
-pub(crate) fn error_frame(code: ErrorCode, message: String) -> Vec<u8> {
-    Response::Error { code, message }.encode_frame()
-}
-
-/// Frame → request. `frame` is a received frame body, or the framing error
-/// the front end's reader hit instead (an oversized or truncated frame, a
-/// stalled peer). Refuses during shutdown, counts the request, decodes it
-/// (a malformed body is a protocol error: error reply, then close), begins
-/// its trace with the decode time as lead, and consults the connection
-/// fault hook: `Drop` cuts the connection before the request applies (a
-/// replayed chunk must then be re-applied); `TruncateResponse` applies it
-/// but tears the reply (the replay must then dedup). Together they cover
-/// both halves of idempotent resume.
-pub(crate) fn start_request(frame: Result<Vec<u8>, ServerError>, shared: &Shared) -> Start {
-    let body = match frame {
-        Ok(body) => body,
-        Err(err) => {
-            shared.metrics.protocol_errors.incr();
-            return Start::Close(Some(error_frame(err.code(), err.wire_message())));
+        shared.metrics.requests_total.incr();
+        let started = Instant::now();
+        let request = match Request::decode(&body) {
+            Ok(request) => request,
+            Err(err) => {
+                shared.metrics.protocol_errors.incr();
+                shared.metrics.errors_total.incr();
+                let _ = stream.write_all(&error_frame(err.code(), err.wire_message()));
+                return;
+            }
+        };
+        // The trace kind is the decoded opcode, so it begins *after*
+        // decode; the decode time lands as lead so the span still covers
+        // it. A trace dropped on any abort path records nothing.
+        let trace = shared.tracer.begin(request.op_name());
+        trace.add_lead(STAGE_FRAME_DECODE, started.elapsed());
+        let fault = match &shared.config.fault_hook {
+            Some(hook) => hook.on_request(),
+            None => ConnAction::Proceed,
+        };
+        if fault == ConnAction::Drop {
+            return;
         }
-    };
-    if shared.shutdown.load(Ordering::SeqCst) {
-        return Start::Close(Some(error_frame(
-            ErrorCode::ShuttingDown,
-            "server is shutting down".into(),
-        )));
-    }
-    shared.metrics.requests_total.incr();
-    let started = Instant::now();
-    let request = match Request::decode(&body) {
-        Ok(request) => request,
-        Err(err) => {
-            shared.metrics.protocol_errors.incr();
-            shared.metrics.errors_total.incr();
-            return Start::Close(Some(error_frame(err.code(), err.wire_message())));
+        let mut reply = match handle_request(request, &mut attached, shared, &trace) {
+            Ok(response) => response.encode_frame(),
+            Err(err) => {
+                shared.metrics.errors_total.incr();
+                error_frame(err.code(), err.wire_message())
+            }
+        };
+        if fault == ConnAction::TruncateResponse {
+            // The length prefix and half the body, then hang up: exactly
+            // what a server crashing mid-write produces.
+            reply.truncate(4 + (reply.len() - 4) / 2);
+            let _ = stream.write_all(&reply);
+            return;
         }
-    };
-    // The trace kind is the decoded opcode, so it begins *after* decode;
-    // the decode time lands as lead so the span still covers it. A trace
-    // dropped on any abort path records nothing.
-    let trace = shared.tracer.begin(request.op_name());
-    trace.add_lead(STAGE_FRAME_DECODE, started.elapsed());
-    let fault = match &shared.config.fault_hook {
-        Some(hook) => hook.on_request(),
-        None => ConnAction::Proceed,
-    };
-    if fault == ConnAction::Drop {
-        return Start::Close(None);
-    }
-    let torn = fault == ConnAction::TruncateResponse;
-    Start::Run(
-        request,
-        Ticket {
-            trace,
-            started,
-            torn,
-        },
-    )
-}
-
-/// Request → reply bytes. Runs the request; a handler error becomes a
-/// `Response::Error` counted in `errors_total`. Returns the whole reply
-/// frame or, under an injected `truncate-frame` fault, its length prefix
-/// and half the body — exactly what a server crashing mid-write produces.
-pub(crate) fn respond(
-    request: Request,
-    attached: &mut Option<Attachment>,
-    shared: &Shared,
-    ticket: &Ticket,
-) -> Vec<u8> {
-    let mut reply = match handle_request(request, attached, shared, &ticket.trace) {
-        Ok(response) => response.encode_frame(),
-        Err(err) => {
-            shared.metrics.errors_total.incr();
-            error_frame(err.code(), err.wire_message())
+        let write_timer = trace.stage(STAGE_REPLY_WRITE);
+        let written = stream.write_all(&reply).is_ok();
+        write_timer.finish();
+        if !written {
+            return;
         }
-    };
-    if ticket.torn {
-        reply.truncate(4 + (reply.len() - 4) / 2);
-    }
-    reply
-}
-
-impl Ticket {
-    /// Completion, once the front end has sent the reply: finishes the
-    /// trace and records `request_latency`, from the start of frame decode
-    /// to the sent reply — the trace's span, less any admission wait the
-    /// event loop adds as lead. A torn reply or a failed write records
-    /// neither and closes the connection. Returns whether the connection
-    /// stays open.
-    pub(crate) fn complete(self, written: bool, shared: &Shared) -> bool {
-        if self.torn || !written {
-            return false;
-        }
-        self.trace.finish();
+        trace.finish();
         shared
             .metrics
             .request_latency
-            .record_duration(self.started.elapsed());
-        true
+            .record_duration(started.elapsed());
     }
 }
 
-/// Dispatches one decoded request against the shared state, for
-/// [`respond`]: on the connection's own thread (threaded) or on a worker
-/// with the connection's attachment moved into the job (event loop — one
-/// job in flight per connection, so the move is exclusive).
+/// Dispatches one decoded request against the shared state, on the
+/// connection's own thread.
 fn handle_request(
     request: Request,
     attached: &mut Option<Attachment>,
@@ -1302,76 +1213,13 @@ fn handle_request(
             Ok(Response::Session(info))
         }
         Request::Ingest { mut chunk } => {
-            let session = require_attached(attached, shared)?;
-            {
-                let admission = trace.stage(STAGE_ADMISSION_WAIT);
-                ingest_admission(shared)?;
-                admission.finish();
-            }
-            charge_tenant_ingest(session, chunk.len(), shared)?;
-            apply_chunk_faults(shared, &mut chunk);
+            let session = admit_chunk(attached, &mut chunk, shared, trace)?;
             reject_trailing_bytes(&chunk)?;
-            // Partition-while-decoding: the engine routes records into
-            // per-shard batches straight out of the varint decoder, so the
-            // chunk is never materialized in a flat buffer and re-scanned.
-            // Header and CRC are verified before any record is ingested,
-            // so a corrupt chunk (fault injection included) is rejected
-            // whole.
-            let decode_started = Instant::now();
-            let (total_events, ingested, intervals, consumed, handoff) =
-                session.with_engine(|engine| {
-                    let events_before = engine.events();
-                    let intervals_before = engine.intervals();
-                    let consumed = engine.ingest_chunk(&chunk)?;
-                    let handoff = engine.take_handoff_time();
-                    let after = engine.intervals();
-                    shared
-                        .metrics
-                        .intervals_completed
-                        .add(after - intervals_before);
-                    Ok((
-                        engine.events(),
-                        engine.events() - events_before,
-                        after,
-                        consumed,
-                        handoff,
-                    ))
-                })?;
-            let decode_elapsed = decode_started.elapsed();
-            shared.metrics.chunk_decode.record_duration(decode_elapsed);
-            // Ring handoff (blocking stalls included) is split out of the
-            // engine call so `ingest` is pure decode + sketch work.
-            trace.add(STAGE_DISPATCH, handoff);
-            trace.add(STAGE_INGEST, decode_elapsed.saturating_sub(handoff));
-            debug_assert_eq!(
-                consumed,
-                chunk.len(),
-                "pre-checked by reject_trailing_bytes"
-            );
-            shared.metrics.chunks_ingested.incr();
-            shared.metrics.events_ingested.add(ingested);
-            shared
-                .tenancy
-                .events_ingested
-                .add(&session.tenant, ingested);
-            shared
-                .tenancy
-                .bytes_ingested
-                .add(&session.tenant, chunk.len() as u64);
-            Ok(Response::Ingested {
-                events: total_events,
-                intervals,
-            })
+            session
+                .with_engine(|engine| apply_chunk(engine, &chunk, &session.tenant, shared, trace))
         }
         Request::IngestSeq { seq, mut chunk } => {
-            let session = require_attached(attached, shared)?;
-            {
-                let admission = trace.stage(STAGE_ADMISSION_WAIT);
-                ingest_admission(shared)?;
-                admission.finish();
-            }
-            charge_tenant_ingest(session, chunk.len(), shared)?;
-            apply_chunk_faults(shared, &mut chunk);
+            let session = admit_chunk(attached, &mut chunk, shared, trace)?;
             if seq == 0 {
                 return Err(ServerError::protocol("ingest sequence numbers are 1-based"));
             }
@@ -1397,41 +1245,9 @@ fn handle_request(
                     });
                 }
                 reject_trailing_bytes(&chunk)?;
-                let decode_started = Instant::now();
-                let events_before = engine.events();
-                let intervals_before = engine.intervals();
-                let consumed = engine.ingest_chunk(&chunk)?;
-                let handoff = engine.take_handoff_time();
-                let decode_elapsed = decode_started.elapsed();
-                shared.metrics.chunk_decode.record_duration(decode_elapsed);
-                trace.add(STAGE_DISPATCH, handoff);
-                trace.add(STAGE_INGEST, decode_elapsed.saturating_sub(handoff));
-                debug_assert_eq!(
-                    consumed,
-                    chunk.len(),
-                    "pre-checked by reject_trailing_bytes"
-                );
-                let after = engine.intervals();
-                let ingested = engine.events() - events_before;
-                shared
-                    .metrics
-                    .intervals_completed
-                    .add(after - intervals_before);
-                shared.metrics.chunks_ingested.incr();
-                shared.metrics.events_ingested.add(ingested);
-                shared
-                    .tenancy
-                    .events_ingested
-                    .add(&session.tenant, ingested);
-                shared
-                    .tenancy
-                    .bytes_ingested
-                    .add(&session.tenant, chunk.len() as u64);
+                let reply = apply_chunk(engine, &chunk, &session.tenant, shared, trace)?;
                 state.last_seq = seq;
-                Ok(Response::Ingested {
-                    events: engine.events(),
-                    intervals: after,
-                })
+                Ok(reply)
             })
         }
         Request::Resume => {
@@ -1527,6 +1343,70 @@ fn handle_request(
             Ok(Response::Done)
         }
     }
+}
+
+/// What both ingest requests run before their chunk reaches the engine,
+/// in order: the attached session, the connection watermark (timed as
+/// `admission_wait`), the tenant's byte budget, then the chunk fault hook.
+fn admit_chunk<'a>(
+    attached: &'a Option<Attachment>,
+    chunk: &mut [u8],
+    shared: &Shared,
+    trace: &Trace,
+) -> Result<&'a Arc<Session>, ServerError> {
+    let session = require_attached(attached, shared)?;
+    let admission = trace.stage(STAGE_ADMISSION_WAIT);
+    ingest_admission(shared)?;
+    admission.finish();
+    charge_tenant_ingest(session, chunk.len(), shared)?;
+    apply_chunk_faults(shared, chunk);
+    Ok(session)
+}
+
+/// Applies one checked chunk to `engine` under the caller's session lock
+/// and accounts for it; both ingest requests run exactly this. The ring
+/// handoff (blocking stalls included) is split out as `dispatch`, so
+/// `ingest` is pure decode and sketch work.
+fn apply_chunk(
+    engine: &mut EngineSession,
+    chunk: &[u8],
+    tenant: &str,
+    shared: &Shared,
+    trace: &Trace,
+) -> Result<Response, ServerError> {
+    // Partition-while-decoding: the engine routes records into per-shard
+    // batches straight out of the varint decoder, so the chunk is never
+    // materialized in a flat buffer and re-scanned. Header and CRC are
+    // verified before any record is ingested, so a corrupt chunk (fault
+    // injection included) is rejected whole.
+    let decode_started = Instant::now();
+    let events_before = engine.events();
+    let intervals_before = engine.intervals();
+    let consumed = engine.ingest_chunk(chunk)?;
+    let handoff = engine.take_handoff_time();
+    let decode_elapsed = decode_started.elapsed();
+    debug_assert_eq!(
+        consumed,
+        chunk.len(),
+        "pre-checked by reject_trailing_bytes"
+    );
+    shared.metrics.chunk_decode.record_duration(decode_elapsed);
+    trace.add(STAGE_DISPATCH, handoff);
+    trace.add(STAGE_INGEST, decode_elapsed.saturating_sub(handoff));
+    let (events, intervals) = (engine.events(), engine.intervals());
+    let ingested = events - events_before;
+    shared
+        .metrics
+        .intervals_completed
+        .add(intervals - intervals_before);
+    shared.metrics.chunks_ingested.incr();
+    shared.metrics.events_ingested.add(ingested);
+    shared.tenancy.events_ingested.add(tenant, ingested);
+    shared
+        .tenancy
+        .bytes_ingested
+        .add(tenant, chunk.len() as u64);
+    Ok(Response::Ingested { events, intervals })
 }
 
 /// Admission control for ingest: sheds with a typed `Overloaded` response

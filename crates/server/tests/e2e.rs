@@ -1,13 +1,16 @@
 //! End-to-end acceptance tests: a real server on an ephemeral port, real
 //! TCP clients, and equivalence against offline engine runs.
 
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
 use mhp_core::Tuple;
+use mhp_faults::{FaultKind, FaultPlan};
 use mhp_pipeline::{EngineConfig, ShardedEngine};
 use mhp_server::{
-    loadgen, stat_value, Client, ErrorCode, LoadgenConfig, ProfileData, ProfilerKind, Server,
-    ServerConfig, ServerError, SessionConfig,
+    loadgen, mux_loadgen, stat_value, Client, ErrorCode, LoadgenConfig, MuxConfig, ProfileData,
+    ProfilerKind, Request, Response, Server, ServerConfig, ServerError, SessionConfig, SessionInfo,
 };
 use mhp_trace::{Benchmark, StreamKind, StreamSpec};
 
@@ -372,6 +375,24 @@ fn shutdown_request_stops_an_idle_server_promptly() {
     client.shutdown_server().unwrap();
     drop(client);
     assert!(returns_within_a_second(move || server.wait()));
+}
+
+/// A peer that sends part of a frame and then goes silent does not hold
+/// up shutdown: its handler gives up on the frame at the next read
+/// timeout once shutdown begins, instead of waiting out the stall budget
+/// (300 read timeouts, a minute at the default 200 ms).
+#[test]
+fn join_is_not_held_by_a_peer_stalled_mid_frame() {
+    let server = Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
+    let mut stalled = TcpStream::connect(server.local_addr()).unwrap();
+    // One whole request first, so the handler is up and reading.
+    stalled.write_all(&framed(Request::Stats.encode())).unwrap();
+    read_reply(&mut stalled);
+    // Two bytes of the next length prefix, then silence.
+    stalled.write_all(&[8, 0]).unwrap();
+    std::thread::sleep(Duration::from_millis(100));
+    assert!(returns_within_a_second(move || server.join()));
+    drop(stalled);
 }
 
 /// Malformed bytes get an error response and the connection is dropped;
@@ -750,4 +771,344 @@ fn traces_query_against_older_server_degrades_gracefully() {
     }
     drop(client);
     old_server.join().unwrap();
+}
+
+/// `body` behind its little-endian length prefix.
+fn framed(body: Vec<u8>) -> Vec<u8> {
+    let mut frame = (body.len() as u32).to_le_bytes().to_vec();
+    frame.extend_from_slice(&body);
+    frame
+}
+
+/// Reads one reply frame, length prefix included, or as much of it as
+/// arrives before the server hangs up.
+fn read_reply(stream: &mut TcpStream) -> Vec<u8> {
+    let mut reply = vec![0u8; 4];
+    stream.read_exact(&mut reply).unwrap();
+    let len = u32::from_le_bytes(reply[..4].try_into().unwrap());
+    stream.take(u64::from(len)).read_to_end(&mut reply).unwrap();
+    reply
+}
+
+/// A request dripped one byte at a time decodes exactly as a request
+/// delivered whole: the handler's reader keeps its place partway through
+/// the frame across reads.
+#[test]
+fn dripped_requests_resume_mid_frame() {
+    let server = Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
+
+    // Hand-roll the drip on a raw socket so nothing buffers for us.
+    let mut raw = TcpStream::connect(server.local_addr()).unwrap();
+    raw.set_nodelay(true).unwrap();
+    for byte in framed(Request::Stats.encode()) {
+        raw.write_all(&[byte]).unwrap();
+        raw.flush().unwrap();
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    let response = mhp_server::protocol::read_frame(&mut raw)
+        .unwrap()
+        .expect("server closed instead of answering the dripped request");
+    match Response::decode(&response).unwrap() {
+        Response::Stats(text) => assert!(text.contains("requests_total")),
+        other => panic!("expected stats, got {other:?}"),
+    }
+    drop(raw);
+    server.join();
+}
+
+/// Sends `frames` on one fresh connection, one at a time, collecting each
+/// reply exactly as it arrived; the server must hang up after the last.
+fn run_connection(addr: SocketAddr, frames: &[Vec<u8>]) -> Vec<Vec<u8>> {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut replies = Vec::new();
+    for frame in frames {
+        stream.write_all(frame).unwrap();
+        replies.push(read_reply(&mut stream));
+    }
+    let mut rest = Vec::new();
+    stream.read_to_end(&mut rest).unwrap();
+    assert!(rest.is_empty(), "bytes after the last reply: {rest:?}");
+    replies
+}
+
+/// A scripted raw-socket run — ordinary requests, a torn reply, a handler
+/// error, a malformed request and an oversized frame — gets exactly the
+/// expected reply bytes and moves the request counters exactly so. A torn
+/// reply is not a completed request: `request_latency` counts only replies
+/// sent whole.
+#[test]
+fn scripted_replies_and_request_accounting_are_exact() {
+    const COUNTERS: [&str; 4] = [
+        "requests_total",
+        "errors_total",
+        "protocol_errors",
+        "request_latency_count",
+    ];
+    // The fourth decoded request — the opening stats read is the first —
+    // gets a torn reply.
+    let hook = FaultPlan::new(0x5EED)
+        .with_fault(FaultKind::TruncateFrame, 4)
+        .arm();
+    let server = Server::bind(
+        "127.0.0.1:0",
+        ServerConfig {
+            fault_hook: Some(hook),
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let addr = server.local_addr();
+    let session = SessionConfig {
+        kind: ProfilerKind::MultiHash,
+        shards: 1,
+        interval_len: 1_000,
+        threshold: 0.01,
+        seed: 7,
+    };
+    let events = workload(3, 2_500);
+    let attach = |name: &str| {
+        framed(
+            Request::Attach {
+                name: name.to_string(),
+            }
+            .encode(),
+        )
+    };
+
+    // Counters are read on one connection before and after the script, so
+    // each read's own request lands in the deltas.
+    let mut probe = Client::connect(addr).unwrap();
+    let count = |stats: &str, name: &str| stat_value(stats, name).unwrap();
+    let before = probe.stats().unwrap();
+
+    let mut replies = run_connection(
+        addr,
+        &[
+            framed(
+                Request::Open {
+                    name: "parity".into(),
+                    config: session.clone(),
+                }
+                .encode(),
+            ),
+            framed(
+                Request::Ingest {
+                    chunk: mhp_pipeline::encode_chunk(&events),
+                }
+                .encode(),
+            ),
+            framed(Request::TopK { n: 4 }.encode()),
+        ],
+    );
+    replies.extend(run_connection(
+        addr,
+        &[
+            attach("parity"),
+            attach("missing"),
+            framed(Request::Snapshot { interval: u64::MAX }.encode()),
+            framed(vec![0xEE]), // unknown opcode
+        ],
+    ));
+    replies.extend(run_connection(addr, &[u32::MAX.to_le_bytes().to_vec()]));
+
+    let after = probe.stats().unwrap();
+    probe.shutdown_server().unwrap();
+    server.join();
+
+    // The same stream through an offline engine gives the live top-k and
+    // the latest profile the server must have sent.
+    let interval = mhp_core::IntervalConfig::new(session.interval_len, session.threshold).unwrap();
+    let mut offline = ShardedEngine::new(
+        EngineConfig::new(1),
+        interval,
+        session.kind.spec(),
+        session.seed,
+    )
+    .start()
+    .unwrap();
+    offline.push_all(events.iter().copied()).unwrap();
+    let top_k = offline.top_k(4).unwrap();
+    let latest = ProfileData::from_profile(offline.profiles().unwrap().last().unwrap());
+    offline.finish().unwrap();
+
+    let info = |events, intervals| {
+        Response::Session(SessionInfo {
+            name: "parity".into(),
+            config: session.clone(),
+            events,
+            intervals,
+        })
+    };
+    let error = |err: ServerError| Response::Error {
+        code: err.code(),
+        message: err.wire_message(),
+    };
+    let mut torn = framed(Response::TopK(top_k).encode());
+    torn.truncate(4 + (torn.len() - 4) / 2);
+    let expected = vec![
+        framed(info(0, 0).encode()),
+        framed(
+            Response::Ingested {
+                events: 2_500,
+                intervals: 2,
+            }
+            .encode(),
+        ),
+        torn,
+        framed(info(2_500, 2).encode()),
+        framed(
+            Response::Error {
+                code: ErrorCode::UnknownSession,
+                message: "no session named \"missing\"".into(),
+            }
+            .encode(),
+        ),
+        framed(Response::Profile(latest).encode()),
+        framed(error(Request::decode(&[0xEE]).unwrap_err()).encode()),
+        framed(
+            error(mhp_server::protocol::read_frame(&mut &u32::MAX.to_le_bytes()[..]).unwrap_err())
+                .encode(),
+        ),
+    ];
+    assert_eq!(replies.len(), 8);
+    for (i, (got, want)) in replies.iter().zip(&expected).enumerate() {
+        assert_eq!(got, want, "reply {}", i + 1);
+    }
+    let declared = u32::from_le_bytes(replies[2][..4].try_into().unwrap()) as usize;
+    assert!(replies[2].len() - 4 < declared, "third reply is torn");
+    // Seven scripted requests plus the closing stats read; two errors (the
+    // unknown session and the malformed request); two protocol errors (the
+    // malformed request and the oversized frame); latency for the five
+    // whole scripted replies plus the opening stats read.
+    let deltas: Vec<(&str, u64)> = COUNTERS
+        .iter()
+        .map(|&name| (name, count(&after, name) - count(&before, name)))
+        .collect();
+    assert_eq!(
+        deltas,
+        [
+            ("requests_total", 8),
+            ("errors_total", 2),
+            ("protocol_errors", 2),
+            ("request_latency_count", 6),
+        ]
+    );
+}
+
+/// Sends `frames` on one fresh connection and collects one reply per
+/// frame: all frames written back to back when `pipelined`, else each
+/// after the previous reply.
+fn exchange(addr: SocketAddr, frames: &[Vec<u8>], pipelined: bool) -> Vec<Vec<u8>> {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    if pipelined {
+        stream.write_all(&frames.concat()).unwrap();
+        return frames.iter().map(|_| read_reply(&mut stream)).collect();
+    }
+    frames
+        .iter()
+        .map(|frame| {
+            stream.write_all(frame).unwrap();
+            read_reply(&mut stream)
+        })
+        .collect()
+}
+
+/// One connection's frames are answered strictly in order, so a client may
+/// pipeline: `snapshot` and `topk` frames written back to back get, byte
+/// for byte, the replies they get one at a time.
+#[test]
+fn pipelined_requests_are_answered_in_order() {
+    let session = SessionConfig {
+        kind: ProfilerKind::MultiHash,
+        shards: 2,
+        interval_len: 1_000,
+        threshold: 0.01,
+        seed: 7,
+    };
+    // Twelve completed intervals and a partial one; the last snapshots
+    // ask past the end and get no-profile replies.
+    let mut frames = vec![framed(
+        Request::Attach {
+            name: "pipelined".into(),
+        }
+        .encode(),
+    )];
+    for i in 0..15u64 {
+        frames.push(framed(Request::Snapshot { interval: i }.encode()));
+        frames.push(framed(Request::TopK { n: 1 + i as u32 }.encode()));
+    }
+
+    let server = Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
+    let mut recorder = Client::connect(server.local_addr()).unwrap();
+    recorder.open_session("pipelined", session).unwrap();
+    recorder.ingest(&workload(9, 12_500)).unwrap();
+
+    let one_at_a_time = exchange(server.local_addr(), &frames, false);
+    let pipelined = exchange(server.local_addr(), &frames, true);
+    assert_eq!(pipelined.len(), frames.len());
+    for (i, (a, b)) in one_at_a_time.iter().zip(&pipelined).enumerate() {
+        assert_eq!(a, b, "reply {} differs when pipelined", i + 1);
+    }
+    let no_profile = Response::NoProfile.encode();
+    assert_eq!(
+        pipelined[1..]
+            .iter()
+            .step_by(2)
+            .filter(|reply| reply[4..] != no_profile[..])
+            .count(),
+        12,
+        "twelve completed intervals, then no-profile replies"
+    );
+    recorder.shutdown_server().unwrap();
+    drop(recorder);
+    server.join();
+}
+
+/// The multiplexed load generator holds hundreds of concurrent sessions
+/// open from a single thread, one server handler thread each; every
+/// session opens, the active subset streams to completion, and the
+/// server's counters agree.
+#[test]
+fn mux_loadgen_holds_hundreds_of_concurrent_sessions() {
+    let server = Server::bind(
+        "127.0.0.1:0",
+        ServerConfig {
+            max_connections: 320,
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+
+    let report = mux_loadgen(
+        server.local_addr(),
+        &MuxConfig {
+            sessions: 256,
+            active: 16,
+            events_per_session: 8_192,
+            chunk_events: 4_096,
+            session_prefix: "mux-e2e".to_string(),
+            deadline: Duration::from_secs(120),
+            ..MuxConfig::default()
+        },
+    )
+    .unwrap();
+
+    assert_eq!(report.opened, 256, "every session must open");
+    assert_eq!(report.requests, 16 * 2, "2 chunks per active session");
+    assert_eq!(report.events, 16 * 8_192);
+
+    // The server really did see them all: mux holds every connection until
+    // the run completes, so the peak concurrency equals the session count.
+    let mut probe = Client::connect(server.local_addr()).unwrap();
+    let stats = probe.stats().unwrap();
+    assert_eq!(stat_value(&stats, "sessions_opened"), Some(256));
+    assert_eq!(stat_value(&stats, "connections_rejected"), Some(0));
+    probe.shutdown_server().unwrap();
+    server.join();
 }

@@ -37,8 +37,8 @@ echo "==> verify: perfect, 4 shards (exact vs offline engine)"
 target/release/mhp-client verify --addr "$addr" \
   --stream li:value:7 --events 30000 --profiler perfect --shards 4
 
-echo "==> loadgen: 8 concurrent clients"
-target/release/mhp-client loadgen --addr "$addr" --clients 8 --events 20000
+echo "==> loadgen: 8 concurrent sessions"
+target/release/mhp-client loadgen --addr "$addr" --sessions 8 --events 20000
 
 echo "==> metrics: scrape and sanity-check the Prometheus exposition"
 metrics="$(target/release/mhp-client query --addr "$addr" --op metrics)"

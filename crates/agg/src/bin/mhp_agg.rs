@@ -153,7 +153,6 @@ fn cmd_serve(mut args: Args) -> Result<(), ServerError> {
         quarantine: Duration::from_millis(
             args.take_parsed("quarantine-ms", defaults.quarantine.as_millis() as u64)?,
         ),
-        ..defaults
     };
     let max_query_conns: usize =
         args.take_parsed("max-query-conns", AggConfig::default().max_query_conns)?;

@@ -20,7 +20,7 @@ use std::time::{Duration, Instant};
 use mhp_core::Candidate;
 use mhp_faults::{FaultHook, PullAction};
 use mhp_net::{Reactor, Waker};
-use mhp_server::protocol::{read_frame_until, write_frame};
+use mhp_server::protocol::{read_frame_until, write_frame, write_frame_until};
 use mhp_server::{
     tenant_of, BreakerPhase, Client, ErrorCode, ProfileData, ProfilerKind, Request, Response,
     ServerError, SessionConfig, SessionInfo, UpstreamHealth,
@@ -28,7 +28,9 @@ use mhp_server::{
 use mhp_telemetry::{Counter, CounterVec, Gauge, Registry, Trace, TraceConfig, Tracer};
 
 use crate::state::{AggState, CUMULATIVE_SUFFIX};
-use crate::supervisor::{CircuitBreaker, PullDecision, PullPolicy, UpstreamStatus, NEVER};
+use crate::supervisor::{
+    pull_backoff, CircuitBreaker, PullDecision, PullPolicy, UpstreamStatus, NEVER,
+};
 
 /// The aggregator's pull-cycle stage taxonomy, in pipeline order; the
 /// tracer registers one `agg_stage_{name}_us` histogram per entry.
@@ -74,10 +76,11 @@ pub struct AggConfig {
     /// resumes with its cursors intact and never double-counts an
     /// interval.
     pub state_path: Option<PathBuf>,
-    /// Per-connection read timeout on the serving side.
+    /// Per-connection read and write timeout on the serving side: a
+    /// silent peer, or one that stops reading its replies, is dropped
+    /// within one timeout of shutdown.
     pub read_timeout: Duration,
-    /// Deadlines, backoff, and circuit-breaker tuning for the pull
-    /// workers.
+    /// Deadline and circuit-breaker tuning for the pull workers.
     pub policy: PullPolicy,
     /// Concurrent query connections served before new ones are rejected
     /// with a retryable `overloaded` answer.
@@ -522,7 +525,7 @@ fn upstream_worker(inner: &Inner, index: usize) {
                     // The quarantine nap happens via Skip on the next
                     // decide(); no extra sleep here.
                 } else {
-                    sleep_responsive(inner, policy.backoff(breaker.consecutive_failures(), index));
+                    sleep_responsive(inner, pull_backoff(breaker.consecutive_failures(), index));
                 }
             }
         }
@@ -789,14 +792,16 @@ fn reject_busy(stream: TcpStream) {
 }
 
 /// Serves one query connection until EOF, a violation, or shutdown.
-fn handle_connection(stream: TcpStream, inner: &Inner) {
+fn handle_connection(mut stream: TcpStream, inner: &Inner) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(inner.config.read_timeout));
+    // Replies to a peer that stops reading wake at the same cadence, so
+    // `write_frame_until` sees shutdown within one timeout.
+    let _ = stream.set_write_timeout(Some(inner.config.read_timeout));
     let mut reader = BufReader::new(match stream.try_clone() {
         Ok(clone) => clone,
         Err(_) => return,
     });
-    let mut writer = BufWriter::new(stream);
     // The tenant this connection attached to, if any.
     let mut attached: Option<String> = None;
 
@@ -807,29 +812,26 @@ fn handle_connection(stream: TcpStream, inner: &Inner) {
             Ok(Some(body)) => body,
             Ok(None) => return,
             Err(err) => {
-                respond(&mut writer, &error_response(&err));
+                respond(&mut stream, &error_response(&err), inner);
                 return;
             }
         };
         let request = match Request::decode(&body) {
             Ok(request) => request,
             Err(err) => {
-                respond(&mut writer, &error_response(&err));
+                respond(&mut stream, &error_response(&err), inner);
                 return;
             }
         };
         let response = handle_request(request, &mut attached, inner);
-        if !respond(&mut writer, &response) {
+        if !respond(&mut stream, &response, inner) {
             return;
         }
     }
 }
 
-fn respond(writer: &mut impl std::io::Write, response: &Response) -> bool {
-    if write_frame(writer, &response.encode()).is_err() {
-        return false;
-    }
-    writer.flush().is_ok()
+fn respond(stream: &mut TcpStream, response: &Response, inner: &Inner) -> bool {
+    write_frame_until(stream, &response.encode_frame(), &inner.shutdown).is_ok()
 }
 
 fn error_response(err: &ServerError) -> Response {

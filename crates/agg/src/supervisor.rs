@@ -7,7 +7,9 @@
 //! design — pure state machines with injected clocks, unit-testable
 //! without sockets or sleeps:
 //!
-//! * [`PullPolicy`] — the deadline/backoff/breaker knobs for one node.
+//! * [`PullPolicy`] — the deadline and breaker knobs for one node (the
+//!   pause after a failed pull is fixed: 25 ms doubling to 500 ms, with
+//!   jitter).
 //! * [`CircuitBreaker`] — closed → open (quarantine) → half-open (trial
 //!   probe) per upstream, driven by pull outcomes.
 //! * [`UpstreamStatus`] — lock-free per-upstream health shared between the
@@ -31,10 +33,9 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::time::{Duration, Instant};
 
-use mhp_server::{BreakerPhase, RetryPolicy, UpstreamHealth};
+use mhp_server::{backoff, BreakerPhase, UpstreamHealth};
 
-/// Deadlines, backoff, and breaker tuning for every pull worker of one
-/// aggregator.
+/// Deadline and breaker tuning for every pull worker of one aggregator.
 #[derive(Debug, Clone)]
 pub struct PullPolicy {
     /// TCP connect deadline per pull attempt.
@@ -48,15 +49,6 @@ pub struct PullPolicy {
     /// hold a pull open indefinitely. The harvest completed before the
     /// budget tripped is still applied.
     pub pull_budget: Duration,
-    /// First post-failure backoff; doubles per consecutive failure with
-    /// deterministic jitter — the exact [`RetryPolicy`] discipline the
-    /// reconnecting ingest client uses.
-    pub backoff_base: Duration,
-    /// Backoff ceiling.
-    pub backoff_max: Duration,
-    /// Jitter seed (mixed with the upstream index so a fleet of workers
-    /// does not thunder in lockstep).
-    pub jitter_seed: u64,
     /// Consecutive failures that open the breaker (quarantine).
     pub breaker_threshold: u32,
     /// How long an opened breaker quarantines its upstream before
@@ -70,28 +62,32 @@ impl Default for PullPolicy {
             connect_timeout: Duration::from_millis(250),
             read_timeout: Duration::from_millis(250),
             pull_budget: Duration::from_secs(2),
-            backoff_base: Duration::from_millis(25),
-            backoff_max: Duration::from_millis(500),
-            jitter_seed: 0xA66_5EED,
             breaker_threshold: 3,
             quarantine: Duration::from_millis(1_000),
         }
     }
 }
 
-impl PullPolicy {
-    /// The pause before the next attempt after `consecutive_failures`
-    /// failures (1-based), delegated to [`RetryPolicy::backoff`] so the
-    /// pull plane and the ingest client share one backoff discipline.
-    pub fn backoff(&self, consecutive_failures: u32, upstream_index: usize) -> Duration {
-        let policy = RetryPolicy {
-            max_retries: 0, // unused by backoff()
-            base_backoff: self.backoff_base,
-            max_backoff: self.backoff_max,
-            jitter_seed: self.jitter_seed ^ (upstream_index as u64).wrapping_mul(0x9E37),
-        };
-        policy.backoff(consecutive_failures)
-    }
+/// First post-failure pause of a pull worker.
+const PULL_BACKOFF_BASE: Duration = Duration::from_millis(25);
+/// Ceiling of a pull worker's backoff (before jitter).
+const PULL_BACKOFF_MAX: Duration = Duration::from_millis(500);
+/// Seed of the pull workers' backoff jitter.
+const PULL_JITTER_SEED: u64 = 0xA66_5EED;
+
+/// The pause before upstream `upstream_index`'s next pull attempt after
+/// `consecutive_failures` failures (1-based): the reconnecting ingest
+/// client's [`backoff`] discipline, from 25 ms up to 500 ms, with the
+/// jitter seed mixed with the upstream index so a fleet of workers does
+/// not thunder in lockstep.
+pub(crate) fn pull_backoff(consecutive_failures: u32, upstream_index: usize) -> Duration {
+    let seed = PULL_JITTER_SEED ^ (upstream_index as u64).wrapping_mul(0x9E37);
+    backoff(
+        consecutive_failures,
+        PULL_BACKOFF_BASE,
+        PULL_BACKOFF_MAX,
+        seed,
+    )
 }
 
 /// What the supervisor should do with the upcoming pull slot.
@@ -292,10 +288,6 @@ impl UpstreamStatus {
 mod tests {
     use super::*;
 
-    fn policy() -> PullPolicy {
-        PullPolicy::default()
-    }
-
     #[test]
     fn breaker_opens_after_threshold_and_probes_after_quarantine() {
         let mut b = CircuitBreaker::new(3, Duration::from_secs(1));
@@ -349,15 +341,14 @@ mod tests {
 
     #[test]
     fn backoff_grows_caps_and_differs_per_upstream() {
-        let p = policy();
-        let b1 = p.backoff(1, 0);
-        let b4 = p.backoff(4, 0);
+        let b1 = pull_backoff(1, 0);
+        let b4 = pull_backoff(4, 0);
         assert!(b4 > b1, "backoff grows with consecutive failures");
-        assert!(b4 <= p.backoff_max + p.backoff_max / 2 + Duration::from_millis(1));
+        assert!(b4 <= PULL_BACKOFF_MAX + PULL_BACKOFF_MAX / 2 + Duration::from_millis(1));
         // Different upstream indices draw different jitter.
-        assert_ne!(p.backoff(1, 0), p.backoff(1, 1));
+        assert_ne!(pull_backoff(1, 0), pull_backoff(1, 1));
         // Deterministic per (attempt, upstream).
-        assert_eq!(p.backoff(3, 2), p.backoff(3, 2));
+        assert_eq!(pull_backoff(3, 2), pull_backoff(3, 2));
     }
 
     #[test]

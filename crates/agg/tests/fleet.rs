@@ -277,6 +277,46 @@ fn shutdown_request_stops_an_idle_aggregator_promptly() {
     assert!(returns_within_a_second(move || agg.wait()));
 }
 
+/// A query peer that pipelines requests and never reads a reply leaves
+/// its handler blocked in a reply write. That write gives up at its next
+/// write timeout once shutdown begins, so `join` returns promptly (before
+/// the write followed the shutdown flag, it never returned at all).
+#[test]
+fn join_is_not_held_by_a_peer_that_stops_reading() {
+    use std::io::Write;
+    let agg = Aggregator::bind("127.0.0.1:0", AggConfig::default()).unwrap();
+    let deaf = std::net::TcpStream::connect(agg.local_addr()).unwrap();
+    let body = mhp_server::Request::Metrics.encode();
+    let mut frame = (body.len() as u32).to_le_bytes().to_vec();
+    frame.extend_from_slice(&body);
+    let requests = frame.repeat(20_000);
+    let mut sender = deaf.try_clone().unwrap();
+    let sending = std::thread::spawn(move || {
+        let _ = sender.write_all(&requests);
+    });
+    // Wait until the replies stop arriving: the handler is blocked in a
+    // write. Peeking measures the unread replies without draining them.
+    let mut unread = vec![0u8; 64 << 20];
+    let mut queued = 0;
+    let waited = std::time::Instant::now();
+    loop {
+        std::thread::sleep(Duration::from_millis(100));
+        let now = deaf.peek(&mut unread).unwrap();
+        if now > 0 && now == queued {
+            break;
+        }
+        queued = now;
+        assert!(
+            waited.elapsed() < Duration::from_secs(20),
+            "handler never blocked"
+        );
+    }
+    assert!(returns_within_a_second(move || agg.join()));
+    // The handler hung up, so the sender's blocked write fails.
+    sending.join().unwrap();
+    drop(deaf);
+}
+
 /// A query peer that sends part of a frame and then goes silent does not
 /// hold up shutdown: its handler gives up on the frame at the next read
 /// timeout once shutdown begins, instead of waiting out the stall budget

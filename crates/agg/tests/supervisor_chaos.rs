@@ -127,7 +127,6 @@ fn test_policy() -> PullPolicy {
         pull_budget: Duration::from_secs(2),
         breaker_threshold: 3,
         quarantine: Duration::from_millis(300),
-        ..PullPolicy::default()
     }
 }
 

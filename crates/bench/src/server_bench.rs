@@ -59,7 +59,8 @@ pub struct ServerBenchRow {
     pub active: usize,
     /// Events acknowledged across the row.
     pub events: u64,
-    /// Error responses seen (retried, not fatal).
+    /// Failed requests the generator counted (see
+    /// [`MuxReport::errors`](mhp_server::MuxReport::errors)).
     pub errors: u64,
     /// Wall-clock for the row, connect to last ack.
     pub elapsed_secs: f64,
@@ -72,7 +73,9 @@ pub struct ServerBenchRow {
     /// Extreme-tail request round-trip, microseconds.
     pub p999_us: u64,
     /// Server-side per-stage latency quantiles for the row, in trace
-    /// taxonomy order with a trailing `"total"` entry.
+    /// taxonomy order with a trailing `"total"` entry. They include the
+    /// one `close_session` request per session the generator sends after
+    /// its clock stops.
     pub stages: Vec<StageSummary>,
 }
 

@@ -191,13 +191,39 @@ fn chunk_header(payload: &[u8], record_count: u32) -> [u8; CHUNK_HEADER_BYTES] {
     header
 }
 
-/// Validates a chunk header's declared sizes before anything is allocated.
+/// A chunk header whose declared sizes passed [`parse_chunk_header`].
+#[derive(Debug, Clone, Copy)]
+struct ChunkHeader {
+    payload_len: usize,
+    record_count: u32,
+    crc: u32,
+}
+
+/// The one parser of the 12-byte chunk header at the front of `bytes`;
+/// errors name chunk index `chunk`.
 ///
-/// Rejects payloads over [`MAX_CHUNK_BYTES`] and record counts that cannot
-/// fit in the declared payload (every record costs at least 2 bytes), so a
-/// hostile header bounded by `u32` fields can demand at most
-/// [`MAX_CHUNK_BYTES`] of memory.
-fn validate_chunk_header(payload_len: u64, record_count: u32, chunk: u64) -> Result<(), Error> {
+/// No bytes at all is a clean boundary ([`Error::Truncated`]) and a partial
+/// header a torn chunk ([`Error::UnexpectedEof`]) — the distinction callers
+/// use to tell "stream ended" from "stream died mid-chunk". The declared
+/// sizes are checked before anything is allocated: a payload over
+/// [`MAX_CHUNK_BYTES`] is [`Error::ChunkTooLarge`], and a record count that
+/// cannot fit in the payload (every record costs at least 2 bytes) is
+/// [`Error::ChunkDecode`], so a hostile header bounded by `u32` fields can
+/// demand at most [`MAX_CHUNK_BYTES`] of memory.
+fn parse_chunk_header(bytes: &[u8], chunk: u64) -> Result<ChunkHeader, Error> {
+    if bytes.len() < CHUNK_HEADER_BYTES {
+        return Err(if bytes.is_empty() {
+            Error::Truncated {
+                context: "chunk header",
+            }
+        } else {
+            Error::UnexpectedEof {
+                context: "chunk header",
+            }
+        });
+    }
+    let field = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes"));
+    let (payload_len, record_count, crc) = (u64::from(field(0)), field(4), field(8));
     if payload_len > MAX_CHUNK_BYTES as u64 {
         return Err(Error::ChunkTooLarge {
             chunk,
@@ -207,40 +233,11 @@ fn validate_chunk_header(payload_len: u64, record_count: u32, chunk: u64) -> Res
     if u64::from(record_count) * 2 > payload_len {
         return Err(Error::ChunkDecode { chunk });
     }
-    Ok(())
-}
-
-/// Decodes `record_count` records from a CRC-verified payload, appending
-/// them to `events` (cleared first). Taking the output buffer lets the
-/// ingest hot paths (trace replay, server chunk ingest) reuse one
-/// allocation across chunks.
-fn decode_chunk_payload_into(
-    payload: &[u8],
-    record_count: u32,
-    chunk: u64,
-    events: &mut Vec<Tuple>,
-) -> Result<(), Error> {
-    events.clear();
-    events.reserve(record_count as usize);
-    let mut pos = 0usize;
-    let mut prev_pc = 0u64;
-    for _ in 0..record_count {
-        let (delta, value) = match (
-            read_varint(payload, &mut pos),
-            read_varint(payload, &mut pos),
-        ) {
-            (Some(d), Some(v)) => (d, v),
-            _ => return Err(Error::ChunkDecode { chunk }),
-        };
-        let pc = prev_pc.wrapping_add(unzigzag(delta) as u64);
-        prev_pc = pc;
-        events.push(Tuple::new(pc, value));
-    }
-    if pos != payload.len() {
-        // Extra undecoded bytes: count and payload disagree.
-        return Err(Error::ChunkDecode { chunk });
-    }
-    Ok(())
+    Ok(ChunkHeader {
+        payload_len: payload_len as usize,
+        record_count,
+        crc,
+    })
 }
 
 /// Encodes `events` as one self-contained chunk (header + payload), exactly
@@ -294,51 +291,16 @@ pub fn decode_chunk(bytes: &[u8]) -> Result<(Vec<Tuple>, usize), Error> {
 /// [`decode_chunk`], but decoding into a caller-owned buffer (cleared
 /// first) and returning only the bytes consumed.
 ///
-/// This is the allocation-free form the server's ingest loop uses: one
-/// `Vec<Tuple>` lives for the whole connection and every chunk decodes into
-/// it, instead of allocating a fresh vector per request.
+/// This is the allocation-free form for callers that decode many chunks:
+/// one `Vec<Tuple>` lives across calls and every chunk decodes into it,
+/// instead of allocating a fresh vector per chunk.
 ///
 /// # Errors
 ///
 /// Exactly as [`decode_chunk`]. On error the buffer contents are
 /// unspecified (but always safe to reuse for the next call).
 pub fn decode_chunk_into(bytes: &[u8], events: &mut Vec<Tuple>) -> Result<usize, Error> {
-    if bytes.len() < CHUNK_HEADER_BYTES {
-        // No bytes at all is a clean boundary; a partial header is a torn
-        // chunk — the distinction callers use to tell "stream ended" from
-        // "stream died mid-chunk".
-        return Err(if bytes.is_empty() {
-            Error::Truncated {
-                context: "chunk header",
-            }
-        } else {
-            Error::UnexpectedEof {
-                context: "chunk header",
-            }
-        });
-    }
-    let payload_len = u32::from_le_bytes(bytes[0..4].try_into().expect("4 bytes")) as u64;
-    let record_count = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
-    let expected_crc = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-    validate_chunk_header(payload_len, record_count, 0)?;
-    let payload_len = payload_len as usize;
-    let rest = &bytes[CHUNK_HEADER_BYTES..];
-    if rest.len() < payload_len {
-        return Err(Error::UnexpectedEof {
-            context: "chunk payload",
-        });
-    }
-    let payload = &rest[..payload_len];
-    let actual_crc = crc32(payload);
-    if actual_crc != expected_crc {
-        return Err(Error::CrcMismatch {
-            chunk: 0,
-            expected: expected_crc,
-            actual: actual_crc,
-        });
-    }
-    decode_chunk_payload_into(payload, record_count, 0, events)?;
-    Ok(CHUNK_HEADER_BYTES + payload_len)
+    ChunkDecoder::open(bytes)?.decode_all(events)
 }
 
 /// Total bytes (header plus declared payload) the chunk at the front of
@@ -361,21 +323,7 @@ pub fn decode_chunk_into(bytes: &[u8], events: &mut Vec<Tuple>) -> Result<usize,
 /// mismatch) is *not* detected here — [`ChunkDecoder::open`] catches it,
 /// still before any record is decoded.
 pub fn declared_chunk_len(bytes: &[u8]) -> Result<usize, Error> {
-    if bytes.len() < CHUNK_HEADER_BYTES {
-        return Err(if bytes.is_empty() {
-            Error::Truncated {
-                context: "chunk header",
-            }
-        } else {
-            Error::UnexpectedEof {
-                context: "chunk header",
-            }
-        });
-    }
-    let payload_len = u32::from_le_bytes(bytes[0..4].try_into().expect("4 bytes")) as u64;
-    let record_count = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
-    validate_chunk_header(payload_len, record_count, 0)?;
-    Ok(CHUNK_HEADER_BYTES + payload_len as usize)
+    Ok(CHUNK_HEADER_BYTES + parse_chunk_header(bytes, 0)?.payload_len)
 }
 
 /// A resumable decoder over one chunk: the caller pulls records a sub-run
@@ -416,6 +364,9 @@ pub struct ChunkDecoder<'a> {
     pos: usize,
     remaining: usize,
     prev_pc: u64,
+    /// The chunk index decode errors report (a trace reader's position;
+    /// 0 for a standalone chunk).
+    chunk: u64,
 }
 
 impl<'a> ChunkDecoder<'a> {
@@ -429,42 +380,32 @@ impl<'a> ChunkDecoder<'a> {
     /// [`Error::ChunkDecode`] for implausible declared sizes and
     /// [`Error::CrcMismatch`] for payload corruption.
     pub fn open(bytes: &'a [u8]) -> Result<Self, Error> {
-        if bytes.len() < CHUNK_HEADER_BYTES {
-            return Err(if bytes.is_empty() {
-                Error::Truncated {
-                    context: "chunk header",
-                }
-            } else {
-                Error::UnexpectedEof {
-                    context: "chunk header",
-                }
-            });
-        }
-        let payload_len = u32::from_le_bytes(bytes[0..4].try_into().expect("4 bytes")) as u64;
-        let record_count = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
-        let expected_crc = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-        validate_chunk_header(payload_len, record_count, 0)?;
-        let payload_len = payload_len as usize;
-        let rest = &bytes[CHUNK_HEADER_BYTES..];
-        if rest.len() < payload_len {
-            return Err(Error::UnexpectedEof {
+        let header = parse_chunk_header(bytes, 0)?;
+        let payload = bytes[CHUNK_HEADER_BYTES..]
+            .get(..header.payload_len)
+            .ok_or(Error::UnexpectedEof {
                 context: "chunk payload",
-            });
-        }
-        let payload = &rest[..payload_len];
-        let actual_crc = crc32(payload);
-        if actual_crc != expected_crc {
+            })?;
+        Self::verified(header, payload, 0)
+    }
+
+    /// A decoder over `payload` once it matches `header`'s CRC; errors
+    /// name chunk index `chunk`.
+    fn verified(header: ChunkHeader, payload: &'a [u8], chunk: u64) -> Result<Self, Error> {
+        let actual = crc32(payload);
+        if actual != header.crc {
             return Err(Error::CrcMismatch {
-                chunk: 0,
-                expected: expected_crc,
-                actual: actual_crc,
+                chunk,
+                expected: header.crc,
+                actual,
             });
         }
         Ok(ChunkDecoder {
             payload,
             pos: 0,
-            remaining: record_count as usize,
+            remaining: header.record_count as usize,
             prev_pc: 0,
+            chunk,
         })
     }
 
@@ -494,7 +435,7 @@ impl<'a> ChunkDecoder<'a> {
                 read_varint(self.payload, &mut self.pos),
             ) {
                 (Some(d), Some(v)) => (d, v),
-                _ => return Err(Error::ChunkDecode { chunk: 0 }),
+                _ => return Err(Error::ChunkDecode { chunk: self.chunk }),
             };
             let pc = self.prev_pc.wrapping_add(unzigzag(delta) as u64);
             self.prev_pc = pc;
@@ -505,8 +446,8 @@ impl<'a> ChunkDecoder<'a> {
     }
 
     /// Verifies the payload was fully consumed once every record is
-    /// decoded — the "trailing undecoded bytes" check
-    /// `decode_chunk_payload_into` performs at the end.
+    /// decoded: leftover bytes mean the record count and the payload
+    /// disagree.
     ///
     /// # Errors
     ///
@@ -514,46 +455,21 @@ impl<'a> ChunkDecoder<'a> {
     /// over.
     pub fn finish(&self) -> Result<(), Error> {
         if self.remaining != 0 || self.pos != self.payload.len() {
-            return Err(Error::ChunkDecode { chunk: 0 });
+            return Err(Error::ChunkDecode { chunk: self.chunk });
         }
         Ok(())
     }
-}
 
-/// Decodes one chunk directly into per-shard sub-batches: record `t` lands
-/// in `outs[shard_of(t, outs.len())]`, in stream order within each shard.
-/// Every output buffer is cleared first; returns the bytes consumed.
-///
-/// Concatenating the sub-batches in shard order yields a permutation of
-/// [`decode_chunk_into`]'s output, and tuple-stable partitioning means no
-/// tuple ever appears in two sub-batches. This is the standalone form of
-/// the engine's partition-while-decoding ingest
-/// ([`EngineSession::ingest_chunk`](crate::EngineSession::ingest_chunk)),
-/// kept separate so the property is testable without spinning up workers.
-///
-/// # Errors
-///
-/// Exactly as [`decode_chunk_into`].
-///
-/// # Panics
-///
-/// Panics if `outs` is empty — there is no shard to route to.
-pub fn decode_chunk_partitioned(bytes: &[u8], outs: &mut [Vec<Tuple>]) -> Result<usize, Error> {
-    assert!(
-        !outs.is_empty(),
-        "decode_chunk_partitioned needs at least one shard buffer"
-    );
-    let shards = outs.len();
-    for out in outs.iter_mut() {
-        out.clear();
+    /// Decodes every record into `events` (cleared first, with room
+    /// reserved for the whole chunk up front), checks the payload is used
+    /// up, and returns the bytes the chunk occupies.
+    fn decode_all(mut self, events: &mut Vec<Tuple>) -> Result<usize, Error> {
+        events.clear();
+        events.reserve(self.remaining);
+        self.decode_some(self.remaining, |tuple| events.push(tuple))?;
+        self.finish()?;
+        Ok(self.consumed())
     }
-    let mut decoder = ChunkDecoder::open(bytes)?;
-    let remaining = decoder.remaining();
-    decoder.decode_some(remaining, |tuple| {
-        outs[crate::engine::shard_of(tuple, shards)].push(tuple);
-    })?;
-    decoder.finish()?;
-    Ok(decoder.consumed())
 }
 
 // --- writer --------------------------------------------------------------
@@ -804,14 +720,8 @@ impl<R: Read> TraceReader<R> {
                     _ => return Err(Error::TrailingData),
                 }
             }
-            let payload_len = u64::from(u32::from_le_bytes(
-                chunk_header[0..4].try_into().expect("4 bytes"),
-            ));
-            let record_count = u32::from_le_bytes(chunk_header[4..8].try_into().expect("4 bytes"));
-            let expected_crc = u32::from_le_bytes(chunk_header[8..12].try_into().expect("4 bytes"));
-            validate_chunk_header(payload_len, record_count, self.chunks_read)?;
-
-            self.payload_buf.resize(payload_len as usize, 0);
+            let header = parse_chunk_header(&chunk_header, self.chunks_read)?;
+            self.payload_buf.resize(header.payload_len, 0);
             // The chunk header promised this payload: running out anywhere
             // inside it — even at byte zero — is a tear, not a boundary.
             read_exact_classified(
@@ -820,21 +730,8 @@ impl<R: Read> TraceReader<R> {
                 "chunk payload",
                 true,
             )?;
-            let actual_crc = crc32(&self.payload_buf);
-            if actual_crc != expected_crc {
-                return Err(Error::CrcMismatch {
-                    chunk: self.chunks_read,
-                    expected: expected_crc,
-                    actual: actual_crc,
-                });
-            }
-
-            decode_chunk_payload_into(
-                &self.payload_buf,
-                record_count,
-                self.chunks_read,
-                &mut self.pending,
-            )?;
+            ChunkDecoder::verified(header, &self.payload_buf, self.chunks_read)?
+                .decode_all(&mut self.pending)?;
             self.chunks_read += 1;
             if self.pending.is_empty() {
                 // A legal but pointless empty chunk; keep scanning.
@@ -1369,22 +1266,5 @@ mod tests {
         // finish() before the payload is drained reports the inconsistency.
         let decoder = ChunkDecoder::open(&bytes).unwrap();
         assert!(matches!(decoder.finish(), Err(Error::ChunkDecode { .. })));
-    }
-
-    #[test]
-    fn partitioned_decode_routes_by_shard_and_clears_buffers() {
-        let events: Vec<Tuple> = (0..200u64).map(|i| Tuple::new(i * 16, i % 5)).collect();
-        let bytes = encode_chunk(&events);
-        let mut outs = vec![vec![Tuple::new(99, 99)]; 4];
-        let consumed = decode_chunk_partitioned(&bytes, &mut outs).unwrap();
-        assert_eq!(consumed, bytes.len());
-        let mut total = 0;
-        for (shard, out) in outs.iter().enumerate() {
-            total += out.len();
-            for &t in out {
-                assert_eq!(crate::engine::shard_of(t, 4), shard);
-            }
-        }
-        assert_eq!(total, events.len());
     }
 }

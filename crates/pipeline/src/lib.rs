@@ -63,8 +63,8 @@ pub use engine::{
 };
 pub use error::Error;
 pub use format::{
-    crc32, declared_chunk_len, decode_chunk, decode_chunk_into, decode_chunk_partitioned,
-    encode_chunk, ChunkDecoder, TraceKind, TraceReader, TraceWriter, CHUNK_HEADER_BYTES,
-    DEFAULT_CHUNK_EVENTS, FORMAT_VERSION, MAGIC, MAX_CHUNK_BYTES,
+    crc32, declared_chunk_len, decode_chunk, decode_chunk_into, encode_chunk, ChunkDecoder,
+    TraceKind, TraceReader, TraceWriter, CHUNK_HEADER_BYTES, DEFAULT_CHUNK_EVENTS, FORMAT_VERSION,
+    MAGIC, MAX_CHUNK_BYTES,
 };
 pub use telemetry::{EngineTelemetry, RegistrySink};

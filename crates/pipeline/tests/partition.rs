@@ -1,53 +1,11 @@
-//! Property tests for partition-while-decoding: `decode_chunk_partitioned`
-//! must be a shard-ordered permutation of the flat `decode_chunk_into`
-//! output with tuple-stable routing (no tuple in two shards), and the
-//! engine's chunked ingest must match per-event pushes for all three
-//! profiler specs.
+//! Property test for partition-while-decoding: the engine's chunked
+//! ingest, which routes each record to its shard straight out of the
+//! decoder, must match per-event pushes for all three profiler specs.
 
 use mhp_core::Tuple;
-use mhp_pipeline::{
-    decode_chunk_into, decode_chunk_partitioned, encode_chunk, shard_of, EngineConfig,
-    ProfilerSpec, ShardedEngine,
-};
+use mhp_pipeline::{encode_chunk, EngineConfig, ProfilerSpec, ShardedEngine};
 use mhp_trace::{Benchmark, StreamKind, StreamSpec};
 use proptest::prelude::*;
-
-proptest! {
-    #[test]
-    fn partitioned_decode_is_a_shard_stable_permutation(
-        events in prop::collection::vec((any::<u64>(), any::<u64>()), 0..500),
-        shards in 1usize..9,
-    ) {
-        let tuples: Vec<Tuple> = events.iter().map(|&(pc, v)| Tuple::new(pc, v)).collect();
-        let chunk = encode_chunk(&tuples);
-
-        let mut flat = Vec::new();
-        let consumed_flat = decode_chunk_into(&chunk, &mut flat).unwrap();
-        let mut outs: Vec<Vec<Tuple>> = vec![Vec::new(); shards];
-        let consumed = decode_chunk_partitioned(&chunk, &mut outs).unwrap();
-        prop_assert_eq!(consumed, consumed_flat);
-
-        // Tuple-stability: sub-batch `s` holds exactly the tuples that hash
-        // to shard `s`, in stream order. Equality against the filtered flat
-        // decode also proves no tuple ever lands in two sub-batches.
-        for (shard, out) in outs.iter().enumerate() {
-            let expected: Vec<Tuple> = flat
-                .iter()
-                .copied()
-                .filter(|&t| shard_of(t, shards) == shard)
-                .collect();
-            prop_assert_eq!(out, &expected, "shard {} of {}", shard, shards);
-        }
-
-        // Concatenated in shard order, the sub-batches are a permutation of
-        // the flat decode: same multiset, nothing lost or duplicated.
-        let mut concat: Vec<Tuple> = outs.concat();
-        let mut flat_sorted = flat;
-        concat.sort();
-        flat_sorted.sort();
-        prop_assert_eq!(concat, flat_sorted);
-    }
-}
 
 proptest! {
     // Each case spins up several multi-threaded engines; a few cases cover

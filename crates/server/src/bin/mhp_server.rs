@@ -2,7 +2,6 @@
 //!
 //! ```text
 //! mhp-server --addr 127.0.0.1:7070 [--max-conns 32] [--read-timeout-ms 200]
-//!            [--write-timeout-ms 30000]
 //!            [--metrics-export PATH] [--metrics-export-interval-ms 10000]
 //!            [--state-dir DIR] [--checkpoint-interval-ms 5000]
 //!            [--overload-conns N] [--fault-plan SPEC] [--fault-seed N]
@@ -29,10 +28,10 @@ options:
   --max-conns N        concurrent connection limit, one handler thread
                        each (default 32; raise it for thousands of
                        concurrent clients)
-  --read-timeout-ms N  per-connection read timeout (default 200); after
-                       shutdown begins, a silent peer is dropped within one
-                       read timeout
-  --write-timeout-ms N per-connection write timeout (default 30000)
+  --read-timeout-ms N  per-connection read and write timeout (default
+                       200); after shutdown begins, a silent peer, or one
+                       that stops reading its replies, is dropped within
+                       one timeout
   --metrics-export P   append periodic JSONL metric snapshots to file P
                        (off by default; a final snapshot is written at
                        shutdown)
@@ -89,12 +88,6 @@ fn run(args: &[String]) -> Result<(), String> {
                     .parse()
                     .map_err(|_| "--read-timeout-ms needs a number".to_string())?;
                 config.read_timeout = Duration::from_millis(ms.max(1));
-            }
-            "--write-timeout-ms" => {
-                let ms: u64 = value("write-timeout-ms")?
-                    .parse()
-                    .map_err(|_| "--write-timeout-ms needs a number".to_string())?;
-                config.write_timeout = Duration::from_millis(ms.max(1));
             }
             "--metrics-export" => {
                 config.metrics_export_path = Some(value("metrics-export")?.into());

@@ -34,10 +34,11 @@ use crate::error::{ErrorCode, ServerError};
 /// with its opcode byte.
 pub const MAX_FRAME_BYTES: usize = mhp_pipeline::MAX_CHUNK_BYTES + 64;
 
-/// Read-timeout periods a peer may stay silent partway through a frame
-/// before it is declared stalled: [`read_frame`]'s retry budget. With the
-/// server's read timeout this bounds a half-written frame to roughly a
-/// minute, instead of forever.
+/// Timeout periods in a row a peer may stall partway through a frame —
+/// sending nothing of a request, or reading nothing of a reply — before
+/// it is declared stalled: the retry budget of [`read_frame_until`] and
+/// [`write_frame_until`]. With the server's 200 ms socket timeouts this
+/// bounds a half-moved frame to roughly a minute, instead of forever.
 const MAX_MID_FRAME_TIMEOUTS: u32 = 300;
 
 /// Which profiler architecture a session runs; the wire form of
@@ -692,7 +693,7 @@ impl Response {
 
     /// Encodes the response as one whole frame, length prefix included,
     /// in a single buffer: what a server puts on the wire.
-    pub(crate) fn encode_frame(&self) -> Vec<u8> {
+    pub fn encode_frame(&self) -> Vec<u8> {
         // Small replies (acks, errors) fit without regrowing the buffer.
         let mut frame = Vec::with_capacity(64);
         frame.extend_from_slice(&[0; 4]);
@@ -882,6 +883,54 @@ pub fn write_frame(writer: &mut impl Write, body: &[u8]) -> Result<(), ServerErr
     }
     writer.write_all(&(body.len() as u32).to_le_bytes())?;
     writer.write_all(body)?;
+    writer.flush()?;
+    Ok(())
+}
+
+/// The write twin of [`read_frame_until`], for a handler replying on a
+/// socket whose write timeout is its read timeout. Writes `frame`, one
+/// whole frame with its length prefix (as [`Response::encode_frame`]
+/// builds it), to an unbuffered writer. A write that times out is retried
+/// while `stop` is down; 300 timeouts in a row with no byte written mean
+/// the peer has stalled. Once `stop` is raised the
+/// write gives up at its next timeout, so a peer that stops reading holds
+/// its handler for at most one timeout after a shutdown begins.
+///
+/// # Errors
+///
+/// I/O failures, a stalled peer, or a timeout after `stop` was raised.
+pub fn write_frame_until(
+    writer: &mut impl Write,
+    frame: &[u8],
+    stop: &AtomicBool,
+) -> Result<(), ServerError> {
+    let mut written = 0;
+    let mut timeouts = 0u32;
+    while written < frame.len() {
+        match writer.write(&frame[written..]) {
+            Ok(0) => return Err(ServerError::Io(std::io::ErrorKind::WriteZero.into())),
+            Ok(n) => {
+                written += n;
+                timeouts = 0;
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                ) =>
+            {
+                if stop.load(Ordering::SeqCst) {
+                    return Err(ServerError::Io(e));
+                }
+                timeouts += 1;
+                if timeouts == MAX_MID_FRAME_TIMEOUTS {
+                    return Err(ServerError::protocol("peer stalled mid-frame"));
+                }
+            }
+            Err(e) => return Err(ServerError::Io(e)),
+        }
+    }
     writer.flush()?;
     Ok(())
 }
@@ -1325,6 +1374,69 @@ mod tests {
             assert!(read_frame_until(&mut quiet, &stopped).unwrap().is_none());
             assert_eq!(quiet.timeouts, 1, "gives up at the first timeout");
         }
+    }
+
+    /// A socket that takes one byte per write once `pause` write timeouts
+    /// in a row have passed, up to `room` bytes, then times out for good;
+    /// counts the timeouts.
+    struct Clogged {
+        room: usize,
+        pause: u32,
+        written: Vec<u8>,
+        timeouts: u32,
+        in_a_row: u32,
+    }
+
+    impl Clogged {
+        fn new(room: usize, pause: u32) -> Clogged {
+            Clogged {
+                room,
+                pause,
+                written: Vec::new(),
+                timeouts: 0,
+                in_a_row: 0,
+            }
+        }
+    }
+
+    impl Write for Clogged {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if self.written.len() == self.room || self.in_a_row < self.pause {
+                self.timeouts += 1;
+                self.in_a_row += 1;
+                return Err(std::io::ErrorKind::WouldBlock.into());
+            }
+            self.in_a_row = 0;
+            self.written.push(buf[0]);
+            Ok(1)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_frame_until_keeps_the_stall_budget_until_stopped() {
+        let frame = Response::Done.encode_frame();
+        let running = AtomicBool::new(false);
+        // Just under the budget before every byte: slow, but moving.
+        let mut slow = Clogged::new(usize::MAX, MAX_MID_FRAME_TIMEOUTS - 1);
+        write_frame_until(&mut slow, &frame, &running).unwrap();
+        assert_eq!(slow.written, frame);
+
+        let mut stalled = Clogged::new(2, 0);
+        let err = write_frame_until(&mut stalled, &frame, &running).unwrap_err();
+        assert!(
+            err.wire_message().ends_with("peer stalled mid-frame"),
+            "{err}"
+        );
+        assert_eq!(stalled.timeouts, MAX_MID_FRAME_TIMEOUTS);
+
+        let stopped = AtomicBool::new(true);
+        let mut stalled = Clogged::new(2, 0);
+        assert!(write_frame_until(&mut stalled, &frame, &stopped).is_err());
+        assert_eq!(stalled.timeouts, 1, "gives up at the first timeout");
     }
 
     #[test]

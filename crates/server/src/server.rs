@@ -16,10 +16,10 @@
 //! * Connections past `max_connections` receive a retryable `overloaded`
 //!   error response and are closed immediately — a graceful rejection,
 //!   not a hang.
-//! * Reads carry a timeout, and each timeout re-checks the shutdown flag,
-//!   so once shutdown begins a handler stops waiting on a silent peer —
-//!   idle between requests or stalled partway through a frame — within
-//!   one read timeout.
+//! * Reads and reply writes carry a timeout, and each timeout re-checks
+//!   the shutdown flag, so once shutdown begins a handler stops waiting on
+//!   a peer — idle between requests, stalled partway through a frame, or
+//!   no longer reading its replies — within one timeout.
 //! * The accept loop blocks in an [`mhp_net::Reactor`] until a connection
 //!   arrives or shutdown wakes it, so an idle server spends no CPU and a
 //!   new connection waits on nothing.
@@ -67,8 +67,8 @@ use mhp_pipeline::{
 use crate::error::{ErrorCode, ServerError};
 use crate::metrics::{Counter, Metrics};
 use crate::protocol::{
-    read_frame_until, ProfileData, ProfilerKind, Request, Response, SessionConfig, SessionInfo,
-    MAX_NAME_BYTES,
+    read_frame_until, write_frame_until, ProfileData, ProfilerKind, Request, Response,
+    SessionConfig, SessionInfo, MAX_NAME_BYTES,
 };
 
 /// Tuning for a [`Server`].
@@ -77,13 +77,10 @@ pub struct ServerConfig {
     /// Connections served concurrently, one handler thread each; an
     /// arrival past the limit gets a retryable `overloaded` rejection.
     pub max_connections: usize,
-    /// Per-connection read timeout. Idle connections wake at this cadence
-    /// to observe the shutdown flag.
+    /// Per-connection read and write timeout. Idle connections, and
+    /// replies to a peer that stops reading, wake at this cadence to
+    /// observe the shutdown flag (see [`write_frame_until`]).
     pub read_timeout: Duration,
-    /// Per-connection write timeout, so a stalled client that stops
-    /// draining its socket cannot pin a handler thread forever
-    /// mid-response.
-    pub write_timeout: Duration,
     /// When set, a background thread appends one JSON metrics snapshot per
     /// [`metrics_export_interval`](Self::metrics_export_interval) to this
     /// file (JSONL), plus a final snapshot at shutdown.
@@ -199,7 +196,6 @@ impl Default for ServerConfig {
         ServerConfig {
             max_connections: 32,
             read_timeout: Duration::from_millis(200),
-            write_timeout: Duration::from_secs(30),
             metrics_export_path: None,
             metrics_export_interval: Duration::from_secs(10),
             state_dir: None,
@@ -1080,9 +1076,10 @@ fn error_frame(code: ErrorCode, message: String) -> Vec<u8> {
 fn handle_connection(mut stream: TcpStream, shared: &Shared) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(shared.config.read_timeout));
-    // A stalled peer that stops draining its socket bounds us to one write
-    // timeout per syscall instead of pinning this thread forever.
-    let _ = stream.set_write_timeout(Some(shared.config.write_timeout));
+    // Replies to a peer that stops reading wake at the same cadence, so
+    // `write_frame_until` sees shutdown within one timeout.
+    let _ = stream.set_write_timeout(Some(shared.config.read_timeout));
+    let stop = &shared.shutdown;
     let mut reader = BufReader::new(match stream.try_clone() {
         Ok(clone) => clone,
         Err(_) => return,
@@ -1093,20 +1090,19 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) {
     let mut attached: Option<Attachment> = None;
 
     // `None` is a clean EOF, or shutdown seen at a read timeout.
-    while let Some(frame) = read_frame_until(&mut reader, &shared.shutdown).transpose() {
+    while let Some(frame) = read_frame_until(&mut reader, stop).transpose() {
         let body = match frame {
             Ok(body) => body,
             Err(err) => {
                 shared.metrics.protocol_errors.incr();
-                let _ = stream.write_all(&error_frame(err.code(), err.wire_message()));
+                let error = error_frame(err.code(), err.wire_message());
+                let _ = write_frame_until(&mut stream, &error, stop);
                 return;
             }
         };
-        if shared.shutdown.load(Ordering::SeqCst) {
-            let _ = stream.write_all(&error_frame(
-                ErrorCode::ShuttingDown,
-                "server is shutting down".into(),
-            ));
+        if stop.load(Ordering::SeqCst) {
+            let refusal = error_frame(ErrorCode::ShuttingDown, "server is shutting down".into());
+            let _ = write_frame_until(&mut stream, &refusal, stop);
             return;
         }
         shared.metrics.requests_total.incr();
@@ -1116,7 +1112,8 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) {
             Err(err) => {
                 shared.metrics.protocol_errors.incr();
                 shared.metrics.errors_total.incr();
-                let _ = stream.write_all(&error_frame(err.code(), err.wire_message()));
+                let error = error_frame(err.code(), err.wire_message());
+                let _ = write_frame_until(&mut stream, &error, stop);
                 return;
             }
         };
@@ -1143,11 +1140,11 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) {
             // The length prefix and half the body, then hang up: exactly
             // what a server crashing mid-write produces.
             reply.truncate(4 + (reply.len() - 4) / 2);
-            let _ = stream.write_all(&reply);
+            let _ = write_frame_until(&mut stream, &reply, stop);
             return;
         }
         let write_timer = trace.stage(STAGE_REPLY_WRITE);
-        let written = stream.write_all(&reply).is_ok();
+        let written = write_frame_until(&mut stream, &reply, stop).is_ok();
         write_timer.finish();
         if !written {
             return;
@@ -1173,7 +1170,12 @@ fn handle_request(
             if name.is_empty() || name.len() > MAX_NAME_BYTES {
                 return Err(ServerError::protocol("session name must be 1..=256 bytes"));
             }
-            let session = Arc::new(Session::open(&name, &config, shared)?);
+            // An unusable config (zero shards, say) is a permanent
+            // `bad-request`, not an `ingest` failure a client would retry.
+            let session = Session::open(&name, &config, shared).map_err(|err| {
+                ServerError::protocol_owned(format!("unusable session config: {err}"))
+            })?;
+            let session = Arc::new(session);
             let tenant = session.tenant.clone();
             {
                 let mut registry = shared.sessions.lock().expect("registry lock poisoned");

@@ -15,8 +15,8 @@
 //! Prometheus text-exposition format ([`Registry::render_prometheus`]) or
 //! as one-line JSON snapshots ([`Registry::snapshot_json`]), and a
 //! [`Tracer`] that breaks each request into per-stage durations: every
-//! finished [`Trace`] feeds one histogram per stage, and a bounded sample
-//! of whole traces (the slowest plus every Nth) renders as JSONL.
+//! finished [`Trace`] feeds one histogram per stage, and the slowest
+//! whole traces render as JSONL.
 //!
 //! Nothing here allocates on the record path: counters and gauges are one
 //! relaxed `fetch_add`, histograms are three, and a trace allocates only

@@ -9,15 +9,13 @@
 //!   population, not a sample. Recording is the histogram's three relaxed
 //!   `fetch_add`s per stage.
 //! * A **sample** of traces is kept whole: a bounded reservoir of the
-//!   slowest 32 plus a 64-deep ring of every 64th trace, rendered as JSONL
-//!   by [`Tracer::render_jsonl`]. Only sampled traces allocate.
+//!   slowest 32, rendered as JSONL by [`Tracer::render_jsonl`]. Only
+//!   sampled traces allocate.
 //!
 //! Stage durations are accumulated in relaxed atomics, so a [`StageTimer`]
 //! needs only `&Trace` — timers for different stages may overlap or run on
 //! different threads, and re-entering a stage adds to its total. The
-//! carrier itself is a fixed-size struct (no per-request allocation) that
-//! can move through queues, e.g. the server event loop's `Job`/`Completion`
-//! handoff.
+//! carrier itself is a fixed-size struct with no per-request allocation.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -32,13 +30,6 @@ pub const MAX_STAGES: usize = 8;
 
 /// How many slowest traces the slow reservoir retains.
 const SLOW_CAPACITY: usize = 32;
-
-/// Head sampling period: every `HEAD_EVERY`-th trace is kept whole (the
-/// first trace always is).
-const HEAD_EVERY: u64 = 64;
-
-/// How many head-sampled traces the head ring retains (overwrite-oldest).
-const HEAD_CAPACITY: usize = 64;
 
 /// Static configuration for a [`Tracer`].
 #[derive(Debug, Clone)]
@@ -56,7 +47,8 @@ pub struct TraceConfig {
     pub enabled: bool,
 }
 
-/// One fully-sampled trace, as kept in the reservoir and rendered to JSONL.
+/// One fully-sampled trace, as kept in the slow reservoir and rendered to
+/// JSONL.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceRecord {
     /// Trace sequence number (0-based, per tracer).
@@ -65,8 +57,6 @@ pub struct TraceRecord {
     pub kind: &'static str,
     /// Free-form numeric detail (e.g. upstream index); 0 if unset.
     pub detail: u64,
-    /// Why this trace was kept: `"slow"` or `"head"`.
-    pub sample: &'static str,
     /// Start, in microseconds since the tracer was created.
     pub start_us: u64,
     /// Whole-operation span in microseconds (includes lead time added via
@@ -92,12 +82,6 @@ pub struct StageSummary {
     pub p999_us: u64,
 }
 
-#[derive(Debug, Default)]
-struct Samples {
-    slow: Vec<TraceRecord>,
-    head: std::collections::VecDeque<TraceRecord>,
-}
-
 #[derive(Debug)]
 struct TracerInner {
     stages: &'static [&'static str],
@@ -112,11 +96,12 @@ struct TracerInner {
     /// filling. Checked relaxed before taking the sample lock, so the
     /// common fast-and-unsampled trace never contends.
     slow_floor: AtomicU64,
-    samples: Mutex<Samples>,
+    /// The slow reservoir: at most [`SLOW_CAPACITY`] records, unordered.
+    slow: Mutex<Vec<TraceRecord>>,
 }
 
 /// A stage-trace collector: hands out [`Trace`]s, owns the per-stage
-/// histograms and the slow/head sample reservoirs. Cloning shares the same
+/// histograms and the slow-trace reservoir. Cloning shares the same
 /// collector.
 #[derive(Debug, Clone)]
 pub struct Tracer {
@@ -154,19 +139,9 @@ impl Tracer {
                 epoch: Instant::now(),
                 seq: AtomicU64::new(0),
                 slow_floor: AtomicU64::new(0),
-                samples: Mutex::new(Samples::default()),
+                slow: Mutex::new(Vec::with_capacity(SLOW_CAPACITY)),
             }),
         }
-    }
-
-    /// Whether this tracer records anything.
-    pub fn enabled(&self) -> bool {
-        self.inner.enabled
-    }
-
-    /// The stage taxonomy, in pipeline order.
-    pub fn stage_names(&self) -> &'static [&'static str] {
-        self.inner.stages
     }
 
     /// Starts a trace for one operation of the given kind. Time the
@@ -216,15 +191,16 @@ impl Tracer {
         out
     }
 
-    /// A copy of every currently-sampled trace: the slow reservoir
-    /// (slowest first), then the head ring (oldest first).
+    /// A copy of every currently-sampled trace, slowest first.
     pub fn sampled(&self) -> Vec<TraceRecord> {
-        let samples = self.inner.samples.lock().expect("trace samples poisoned");
-        let mut slow = samples.slow.clone();
+        let mut slow = self
+            .inner
+            .slow
+            .lock()
+            .expect("trace samples poisoned")
+            .clone();
         slow.sort_by_key(|r| std::cmp::Reverse(r.total_us));
-        slow.into_iter()
-            .chain(samples.head.iter().cloned())
-            .collect()
+        slow
     }
 
     /// Renders the tracer's state as JSONL: one `"stage_summary"` line per
@@ -251,14 +227,9 @@ impl Tracer {
             }
             let _ = writeln!(
                 out,
-                "{{\"type\":\"trace\",\"sample\":\"{}\",\"seq\":{},\"kind\":\"{}\",\
+                "{{\"type\":\"trace\",\"seq\":{},\"kind\":\"{}\",\
                  \"detail\":{},\"start_us\":{},\"total_us\":{},\"stages\":{{{stages}}}}}",
-                record.sample,
-                record.seq,
-                record.kind,
-                record.detail,
-                record.start_us,
-                record.total_us
+                record.seq, record.kind, record.detail, record.start_us, record.total_us
             );
         }
         out
@@ -278,10 +249,10 @@ impl Tracer {
             }
         }
 
-        let head = trace.seq.is_multiple_of(HEAD_EVERY);
-        let slow_candidate = inner.slow_floor.load(Ordering::Relaxed) < total_us
-            || inner.slow_floor.load(Ordering::Relaxed) == 0;
-        if !head && !slow_candidate {
+        // Cheap pre-check: only a trace slower than the reservoir's
+        // current floor (or any trace while it fills) takes the lock.
+        let floor = inner.slow_floor.load(Ordering::Relaxed);
+        if floor != 0 && total_us <= floor {
             return;
         }
 
@@ -299,25 +270,13 @@ impl Tracer {
             seq: trace.seq,
             kind: trace.kind,
             detail: trace.detail.load(Ordering::Relaxed),
-            sample: "head",
             start_us,
             total_us,
             stages,
         };
-
         let kept = {
-            let mut samples = inner.samples.lock().expect("trace samples poisoned");
-            if slow_candidate && Self::offer_slow(inner, &mut samples, &record) {
-                true
-            } else if head {
-                if samples.head.len() == HEAD_CAPACITY {
-                    samples.head.pop_front();
-                }
-                samples.head.push_back(record);
-                true
-            } else {
-                false
-            }
+            let mut slow = inner.slow.lock().expect("trace samples poisoned");
+            Self::offer_slow(inner, &mut slow, record)
         };
         if kept {
             inner.traces_sampled.incr();
@@ -325,19 +284,16 @@ impl Tracer {
     }
 
     /// Offers a record to the slow reservoir; returns whether it was kept.
-    /// Caller holds the sample lock.
-    fn offer_slow(inner: &TracerInner, samples: &mut Samples, record: &TraceRecord) -> bool {
-        let mut record = record.clone();
-        record.sample = "slow";
-        if samples.slow.len() < SLOW_CAPACITY {
-            samples.slow.push(record);
-            if samples.slow.len() == SLOW_CAPACITY {
-                Self::refresh_floor(inner, samples);
+    /// Caller holds the reservoir lock.
+    fn offer_slow(inner: &TracerInner, slow: &mut Vec<TraceRecord>, record: TraceRecord) -> bool {
+        if slow.len() < SLOW_CAPACITY {
+            slow.push(record);
+            if slow.len() == SLOW_CAPACITY {
+                Self::refresh_floor(inner, slow);
             }
             return true;
         }
-        let (min_idx, min_total) = samples
-            .slow
+        let (min_idx, min_total) = slow
             .iter()
             .enumerate()
             .min_by_key(|(_, r)| r.total_us)
@@ -346,13 +302,13 @@ impl Tracer {
         if record.total_us <= min_total {
             return false;
         }
-        samples.slow[min_idx] = record;
-        Self::refresh_floor(inner, samples);
+        slow[min_idx] = record;
+        Self::refresh_floor(inner, slow);
         true
     }
 
-    fn refresh_floor(inner: &TracerInner, samples: &Samples) {
-        let floor = samples.slow.iter().map(|r| r.total_us).min().unwrap_or(0);
+    fn refresh_floor(inner: &TracerInner, slow: &[TraceRecord]) {
+        let floor = slow.iter().map(|r| r.total_us).min().unwrap_or(0);
         inner.slow_floor.store(floor, Ordering::Relaxed);
     }
 }
@@ -547,7 +503,6 @@ mod tests {
         let mut slow: Vec<u64> = tracer
             .sampled()
             .into_iter()
-            .filter(|r| r.sample == "slow")
             .map(|r| r.total_us / SECOND)
             .collect();
         slow.sort_unstable();
@@ -609,62 +564,6 @@ mod tests {
         // Outer covers at least the nested threads' wall time.
         assert!(by_name["alpha"] >= 1_000);
         assert!(by_name["beta"] >= 1_000);
-    }
-
-    /// Satellite: head-ring overwrite-oldest semantics under contention —
-    /// the ring never exceeds capacity and retains the newest samples.
-    #[test]
-    fn head_ring_overwrites_oldest_under_contention() {
-        let (_registry, tracer) = tracer();
-        // Fill the slow reservoir with spans no later trace can beat, so
-        // every head-sampled trace below lands in the head ring.
-        for _ in 0..SLOW_CAPACITY {
-            finish_with_lead(&tracer, 3_600_000_000);
-        }
-        const THREADS: u64 = 4;
-        const PER_THREAD: u64 = 1_100;
-        std::thread::scope(|scope| {
-            for _ in 0..THREADS {
-                let tracer = tracer.clone();
-                scope.spawn(move || {
-                    for _ in 0..PER_THREAD {
-                        finish_with_lead(&tracer, 1);
-                    }
-                });
-            }
-        });
-        let total = SLOW_CAPACITY as u64 + THREADS * PER_THREAD;
-        let head: Vec<u64> = tracer
-            .sampled()
-            .into_iter()
-            .filter(|r| r.sample == "head")
-            .map(|r| r.seq)
-            .collect();
-        let eligible = (SLOW_CAPACITY as u64..total)
-            .filter(|seq| seq.is_multiple_of(HEAD_EVERY))
-            .count();
-        assert!(eligible > HEAD_CAPACITY, "the ring must overflow");
-        assert_eq!(head.len(), HEAD_CAPACITY, "ring holds exactly its capacity");
-        assert!(head.iter().all(|seq| seq.is_multiple_of(HEAD_EVERY)));
-        // The newest sample always survives: fewer than THREADS traces are
-        // in flight at once, far from the HEAD_CAPACITY pushes it would
-        // take to evict it.
-        let newest = (total - 1) / HEAD_EVERY * HEAD_EVERY;
-        assert_eq!(head.iter().max(), Some(&newest));
-        // The oldest samples were overwritten. Only a trace that was still
-        // in flight on a descheduled thread can be pushed late enough to
-        // outlive them, and each such thread holds at most one.
-        let cutoff = newest - HEAD_CAPACITY as u64 * HEAD_EVERY;
-        let stale = head.iter().filter(|&&seq| seq <= cutoff).count();
-        assert!(
-            stale < THREADS as usize,
-            "ring kept overwritten traces: {head:?}"
-        );
-        assert_eq!(
-            tracer.stage_summaries().last().unwrap().count,
-            total,
-            "every trace recorded into the total histogram"
-        );
     }
 
     /// Satellite proptest: for stages timed sequentially with real timers,

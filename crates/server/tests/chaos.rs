@@ -11,8 +11,8 @@ use mhp_core::Tuple;
 use mhp_faults::{FaultKind, FaultPlan, ALL_FAULT_KINDS};
 use mhp_pipeline::{encode_chunk, EngineConfig, ShardedEngine};
 use mhp_server::{
-    Client, ErrorCode, ProfileData, ProfilerKind, ReconnectingClient, RetryPolicy, Server,
-    ServerConfig, ServerError, SessionConfig,
+    Client, ErrorCode, ProfileData, ProfilerKind, ReconnectingClient, Server, ServerConfig,
+    ServerError, SessionConfig, DEFAULT_MAX_RETRIES,
 };
 use mhp_trace::{Benchmark, StreamKind, StreamSpec};
 
@@ -256,7 +256,7 @@ fn every_fault_kind_recovers_bit_identically_or_fails_typed() {
             server.local_addr(),
             &format!("chaos-{}", kind.name()),
             config.clone(),
-            RetryPolicy::default(),
+            DEFAULT_MAX_RETRIES,
         )
         .unwrap();
         // Worker faults fire asynchronously on the shard thread, so a
